@@ -401,8 +401,5 @@ def main(argv: list[str] | None = None) -> int:
     return _EXIT_OK
 
 
-run = main  # alias: the library-facing name of the CLI entry point
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -246,9 +246,8 @@ class _Tableau:
         red = self._reduced_costs(cost)
         # fixed column order for lexicographic comparisons: current basis
         # columns (identity block) first; rows start lex-positive in it
-        lex_order = list(self.basis) + [
-            j for j in range(self.width) if j not in set(self.basis)
-        ]
+        in_basis = set(self.basis)
+        lex_order = list(self.basis) + [j for j in range(self.width) if j not in in_basis]
 
         while True:
             enter = self._choose_entering(red, limit)

@@ -3,19 +3,27 @@ strategy classes.
 
 The NS and SNOS values are linear programs over the correlation table:
 
-* NS:   maximize sum T.V.P  over P >= 0, normalized per input, with the
-  complement-of-a-singleton marginal equalities (sufficient for NS; the
-  returned witness is nevertheless re-verified against *all* subsets).
+* NS:   maximize sum T.V.P  over the Collins-Gisin coordinates of the NS
+  polytope: one variable per subset marginal p_I(a_I|x_I), for every
+  nonempty player subset I, with no output of I at its player's last
+  symbol.  Normalization and every no-signalling equality hold by
+  construction; the only rows are P(a|x) >= 0, expanded by inclusion-exclusion
+  into `<=` rows with right-hand side 0 or 1, so the slack basis (every
+  player outputs its last symbol) is feasible and phase 1 never runs.  The
+  witness is expanded back to the P table and re-verified against *all*
+  subsets.
 * SNOS: same objective over P >= 0 with auxiliary dominator tables
   M_I(a_I, x_I) per nonempty strict subset, the constraints
   P(a_I|x) <= M_I(a_I, x_I), per-x_I dominator mass at most 1, and total
   mass at most 1 per input.
 
 Both LPs are assembled in a symmetry-reduced variable space: entries of P
-(and of the M tables) that lie in one orbit of the game's verified symmetry
-group share a single variable.  Averaging an optimal solution over the group
-is again feasible with the same objective, so the quotient LP has exactly the
-original optimum; the expanded witness is re-verified after every solve.  The
+and of the M tables (SNOS), or Collins-Gisin coordinates (NS), that lie in one
+orbit of the game's verified symmetry group share a single variable; the NS
+LP uses the subgroup fixing every player's last output symbol.  Averaging an
+optimal solution over the group is again feasible with the same objective, so
+the quotient LP has exactly the original optimum; the expanded witness is
+re-verified after every solve.  The
 caller can pass `rounds=n` for games built by `repeat_game`/`threshold_game`
 to enable round-permutation symmetries — candidates are checked exactly
 against (T, V) before use, so a wrong hint can only cost speed, never
@@ -29,6 +37,7 @@ LP-free oracle.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,14 +50,14 @@ from ._symmetry import (
     subset_action,
     symmetry_group,
 )
-from .errors import NsGamesError, ResourceLimitError, ShapeError
+from .errors import NsGamesError, ResourceLimitError
 from .exact_lp import LpProblem, LpSolution, lp_solve
 from .game_model import (
     DEFAULT_TABLE_CAP,
     Correlation,
     Game,
+    _infer_base_alphabets,
     input_projection,
-    singles_complement_subsets,
     strict_subsets,
     winning_probability,
 )
@@ -82,18 +91,6 @@ class ValueResult:
 # --- symmetry plumbing ------------------------------------------------------
 
 
-def _base_alphabets(sizes: tuple[int, ...], rounds: int) -> tuple[int, ...]:
-    base = []
-    for size in sizes:
-        root = mr.integer_nth_root(size, rounds)
-        if root is None:
-            raise ShapeError(
-                f"rounds={rounds} given, but alphabet size {size} has no exact integer root"
-            )
-        base.append(root)
-    return tuple(base)
-
-
 def _group_perms(
     game: Game, rounds: int, use_symmetry: bool
 ) -> list[tuple[Symmetry, list[int], list[int]]]:
@@ -101,8 +98,8 @@ def _group_perms(
     if use_symmetry:
         candidates.extend(player_permutation_candidates(game))
     if rounds > 1:
-        base_in = _base_alphabets(game.input_alphabets, rounds)
-        base_out = _base_alphabets(game.output_alphabets, rounds)
+        base_in = _infer_base_alphabets(game.input_alphabets, rounds, "input")
+        base_out = _infer_base_alphabets(game.output_alphabets, rounds, "output")
         candidates.extend(round_permutation_candidates(base_in, base_out, rounds))
     group = symmetry_group(game, candidates)
     return [
@@ -149,6 +146,53 @@ def _output_groups(
         tup = mr.decode(a, output_alphabets)
         groups[mr.encode(tuple(tup[i] for i in members), out_sizes)].append(a)
     return n_a_i, groups
+
+
+def _subset_orbits(
+    game: Game,
+    group: list[tuple[Symmetry, list[int], list[int]]],
+    masks: Sequence[int],
+    out_alphabets: tuple[int, ...],
+) -> tuple[dict[int, tuple], dict[tuple[int, int, int], int], int]:
+    """Orbit ids of subset coordinates (mask, x_I, a_I), in first-seen order.
+
+    Player i's coordinate outputs range over `out_alphabets[i]` symbols; every
+    group element must map that range onto itself.  Returns the (members,
+    input sizes, output sizes) of each mask, the orbit id per coordinate and
+    the orbit count.
+    """
+    mask_info: dict[int, tuple] = {}
+    orbit_of: dict[tuple[int, int, int], int] = {}
+    for mask in masks:
+        members = tuple(i for i in range(game.players) if mask >> i & 1)
+        in_sizes = tuple(game.input_alphabets[i] for i in members)
+        out_sizes = tuple(out_alphabets[i] for i in members)
+        mask_info[mask] = (members, in_sizes, out_sizes)
+        for x_i in range(mr.table_size(in_sizes)):
+            for a_i in range(mr.table_size(out_sizes)):
+                orbit_of[(mask, x_i, a_i)] = -1
+
+    count = 0
+    for seed in list(orbit_of):
+        if orbit_of[seed] >= 0:
+            continue
+        stack = [seed]
+        orbit_of[seed] = count
+        while stack:
+            mask, x_i, a_i = stack.pop()
+            members, in_sizes, out_sizes = mask_info[mask]
+            a_tup = mr.decode(a_i, out_sizes)
+            x_tup = mr.decode(x_i, in_sizes)
+            for sym, _, _ in group[1:]:
+                nm, na, nx = subset_action(sym, members, a_tup, x_tup)
+                nmask = sum(1 << i for i in nm)
+                _, nin, nout = mask_info[nmask]
+                img = (nmask, mr.encode(nx, nin), mr.encode(na, nout))
+                if orbit_of[img] < 0:
+                    orbit_of[img] = count
+                    stack.append(img)
+        count += 1
+    return mask_info, orbit_of, count
 
 
 class _QuotientRows:
@@ -223,6 +267,45 @@ def _solved(problem: LpProblem, pivoting: str, what: str) -> LpSolution:
     return solution
 
 
+def _fixing_last_outputs(
+    group: list[tuple[Symmetry, list[int], list[int]]], output_alphabets: tuple[int, ...]
+) -> list[tuple[Symmetry, list[int], list[int]]]:
+    """The subgroup of elements that fix every player's last output symbol.
+
+    Collins-Gisin coordinates leave the last symbol out, so only these
+    elements map coordinates to coordinates; they form a subgroup, so
+    averaging over it keeps the quotient exact.
+    """
+    return [
+        (sym, px, pa)
+        for sym, px, pa in group
+        if all(sym.output_perms[i][s - 1] == s - 1 for i, s in enumerate(output_alphabets))
+    ]
+
+
+def _cg_terms(
+    x_tup: tuple[int, ...], a_tup: tuple[int, ...], inputs: tuple[int, ...], last: tuple[int, ...]
+) -> list[tuple[int, int, int, int]]:
+    """P(a|x) in Collins-Gisin coordinates as (mask, x_I, a_I, sign) terms.
+
+    Inclusion-exclusion over the players whose output is their last symbol:
+    each such player either drops out of the subset or enters with every
+    other symbol at sign -1.  The mask-0 term is the constant 1.
+    """
+    terms = [(0, 0, 0, 1)]
+    for i, (x_i, a_i) in enumerate(zip(x_tup, a_tup)):
+        bit, radix = 1 << i, last[i]
+        if a_i < radix:
+            terms = [(m | bit, xi * inputs[i] + x_i, ai * radix + a_i, c) for m, xi, ai, c in terms]
+            continue
+        grown = list(terms)
+        for m, xi, ai, c in terms:
+            xi = xi * inputs[i] + x_i
+            grown.extend((m | bit, xi, ai * radix + b, -c) for b in range(radix))
+        terms = grown
+    return terms
+
+
 def value_ns(
     game: Game,
     *,
@@ -233,38 +316,54 @@ def value_ns(
 ) -> ValueResult:
     """Exact NS value and an optimal no-signalling witness."""
     _check_cap(game, table_cap, "value_ns")
-    group = _group_perms(game, rounds, use_symmetry)
+    last = tuple(s - 1 for s in game.output_alphabets)
+    group = _fixing_last_outputs(_group_perms(game, rounds, use_symmetry), game.output_alphabets)
     n_x, n_a = game.n_inputs, game.n_outputs
     orbit_of, n_orbits = _pair_orbits(n_x, n_a, group)
+    masks = range(1, 2**game.players)
+    _, var_of, n_vars = _subset_orbits(game, group, masks, last)
 
+    # one P(a|x) >= 0 row per orbit of (x, a), written as -L(v) <= constant
+    weights = _objective(game, orbit_of, n_orbits, 0)
+    objective = [_ZERO] * n_vars
+    offset = _ZERO
+    entries_of: list[tuple[dict[int, int], int]] = []
     rows = _QuotientRows()
-    for x in range(n_x):
-        rows.add(_project({x * n_a + a: _ONE for a in range(n_a)}, orbit_of), "=", _ONE)
-    for subset in singles_complement_subsets(game.players):
-        members = subset.members
-        x_proj = input_projection(game.input_alphabets, members)
-        n_a_i, out_groups = _output_groups(game.output_alphabets, members)
-        blocks: dict[int, list[int]] = {}
-        for x in range(n_x):
-            blocks.setdefault(x_proj[x], []).append(x)
-        for xs in blocks.values():
-            ref = xs[0]
-            for x in xs[1:]:
-                for a_i in range(n_a_i):
-                    entries: dict[int, Fraction] = {}
-                    for a in out_groups[a_i]:
-                        entries[x * n_a + a] = entries.get(x * n_a + a, _ZERO) + _ONE
-                        entries[ref * n_a + a] = entries.get(ref * n_a + a, _ZERO) - _ONE
-                    rows.add(_project(entries, orbit_of), "=", _ZERO)
+    for idx in range(n_x * n_a):
+        if orbit_of[idx] < len(entries_of):
+            continue
+        x, a = divmod(idx, n_a)
+        entries: dict[int, int] = {}
+        constant = 0
+        x_tup = mr.decode(x, game.input_alphabets)
+        a_tup = mr.decode(a, game.output_alphabets)
+        for mask, x_i, a_i, sign in _cg_terms(x_tup, a_tup, game.input_alphabets, last):
+            if mask:
+                var = var_of[(mask, x_i, a_i)]
+                entries[var] = entries.get(var, 0) + sign
+            else:
+                constant += sign
+        entries_of.append((entries, constant))
+        if any(c < 0 for c in entries.values()):  # otherwise v >= 0 implies the row
+            rows.add({var: Fraction(-c) for var, c in entries.items()}, "<=", Fraction(constant))
+        weight = weights[orbit_of[idx]]
+        if weight:
+            offset += weight * constant
+            for var, c in entries.items():
+                objective[var] += weight * c
 
-    problem = LpProblem(
-        _objective(game, orbit_of, n_orbits, 0),
-        rows.to_constraints(n_orbits),
-        maximize=True,
+    if n_vars:
+        problem = LpProblem(tuple(objective), rows.to_constraints(n_vars), maximize=True)
+        solution = _solved(problem, pivoting, "NS value")
+        point, value = solution.witness, solution.value + offset
+    else:  # every player has one output: the deterministic point is the polytope
+        point, value = (), offset
+    pair_values = tuple(
+        constant + sum((c * point[var] for var, c in entries.items()), _ZERO)
+        for entries, constant in entries_of
     )
-    solution = _solved(problem, pivoting, "NS value")
-    strategy = _expand_witness(solution.witness, orbit_of, game)
-    return _verified(MODEL_NS, solution.value, game, strategy)
+    strategy = _expand_witness(pair_values, orbit_of, game)
+    return _verified(MODEL_NS, value, game, strategy)
 
 
 def value_snos(
@@ -282,43 +381,11 @@ def value_snos(
     orbit_of, n_orbits = _pair_orbits(n_x, n_a, group)
 
     # dominator variables M_I(a_I, x_I), orbit-reduced like the P table
-    m_entries: list[tuple[int, int, int]] = []  # (mask, x_i, a_i)
-    m_pos: dict[tuple[int, int, int], int] = {}
-    mask_info: dict[int, tuple] = {}
-    for subset in strict_subsets(game.players, include_empty=False):
-        members = subset.members
-        in_sizes = tuple(game.input_alphabets[i] for i in members)
-        out_sizes = tuple(game.output_alphabets[i] for i in members)
-        mask_info[subset.mask()] = (members, in_sizes, out_sizes)
-        for x_i in range(mr.table_size(in_sizes)):
-            for a_i in range(mr.table_size(out_sizes)):
-                m_pos[(subset.mask(), x_i, a_i)] = len(m_entries)
-                m_entries.append((subset.mask(), x_i, a_i))
-
-    m_orbit_of = [-1] * len(m_entries)
-    n_m_orbits = 0
-    for seed in range(len(m_entries)):
-        if m_orbit_of[seed] >= 0:
-            continue
-        stack = [seed]
-        m_orbit_of[seed] = n_m_orbits
-        while stack:
-            mask, x_i, a_i = m_entries[stack.pop()]
-            members, in_sizes, out_sizes = mask_info[mask]
-            a_tup = mr.decode(a_i, out_sizes)
-            x_tup = mr.decode(x_i, in_sizes)
-            for sym, _, _ in group[1:]:
-                nm, na, nx = subset_action(sym, members, a_tup, x_tup)
-                nmask = sum(1 << i for i in nm)
-                _, nin, nout = mask_info[nmask]
-                img = m_pos[(nmask, mr.encode(nx, nin), mr.encode(na, nout))]
-                if m_orbit_of[img] < 0:
-                    m_orbit_of[img] = n_m_orbits
-                    stack.append(img)
-        n_m_orbits += 1
+    masks = [subset.mask() for subset in strict_subsets(game.players, include_empty=False)]
+    mask_info, m_orbit_of, n_m_orbits = _subset_orbits(game, group, masks, game.output_alphabets)
 
     def m_var(mask: int, x_i: int, a_i: int) -> int:
-        return n_orbits + m_orbit_of[m_pos[(mask, x_i, a_i)]]
+        return n_orbits + m_orbit_of[(mask, x_i, a_i)]
 
     rows = _QuotientRows()
     for x in range(n_x):  # empty subset: total mass at most 1 per input

@@ -7,11 +7,14 @@ from nsgames import (
     ShapeError,
     Correlation,
     Game,
+    LpProblem,
     ResourceLimitError,
     is_ns,
     is_snos,
+    lp_solve,
     random_game,
     repeat_game,
+    strict_subsets,
     tensor_power,
     threshold_game,
     value_classical,
@@ -19,6 +22,9 @@ from nsgames import (
     value_snos,
     winning_probability,
 )
+from nsgames import values
+from nsgames._mixedradix import decode
+from nsgames._symmetry import Symmetry, player_permutation_candidates, preserves_game
 from nsgames.polytopes import NS_MODE_ALL
 
 F = Fraction
@@ -185,3 +191,102 @@ def test_rounds_hint_needs_product_alphabets():
     game = random_game(5, 2, (3, 2), (2, 2), predicate_density=0.5)
     with pytest.raises(ShapeError):
         value_ns(game, rounds=2)
+
+
+# --- Collins-Gisin NS LP against the dense equality-form LP --------------------------
+
+
+def _dense_ns_value(game: Game) -> Fraction:
+    """NS value from the unreduced LP over the full P table: normalization plus
+    the marginal equalities of every nonempty strict subset."""
+    n_x, n_a = game.n_inputs, game.n_outputs
+    x_tups = [decode(x, game.input_alphabets) for x in range(n_x)]
+    a_tups = [decode(a, game.output_alphabets) for a in range(n_a)]
+    n = n_x * n_a
+    rows = []
+    for x in range(n_x):
+        coeffs = [F(0)] * n
+        coeffs[x * n_a : (x + 1) * n_a] = [F(1)] * n_a
+        rows.append((tuple(coeffs), "=", F(1)))
+    for subset in strict_subsets(game.players, include_empty=False):
+        members = subset.members
+        first: dict[tuple, int] = {}
+        for x in range(n_x):
+            x_i = tuple(x_tups[x][i] for i in members)
+            ref = first.setdefault(x_i, x)
+            if ref == x:
+                continue
+            for a_i in {tuple(t[i] for i in members) for t in a_tups}:
+                coeffs = [F(0)] * n
+                for a, a_tup in enumerate(a_tups):
+                    if tuple(a_tup[i] for i in members) == a_i:
+                        coeffs[x * n_a + a] += 1
+                        coeffs[ref * n_a + a] -= 1
+                rows.append((tuple(coeffs), "=", F(0)))
+    objective = tuple(
+        game.distribution[x] * game.predicate[x * n_a + a] for x in range(n_x) for a in range(n_a)
+    )
+    return lp_solve(LpProblem(objective, tuple(rows), maximize=True)).value
+
+
+def _cg_cases() -> list[Game]:
+    return (
+        [random_game(500 + seed, 2, (2, 2), (2, 2), predicate_density=0.5) for seed in range(3)]
+        + [random_game(77, 2, (3, 2), (2, 3), full_support=True, predicate_density=0.45)]
+        + [random_game(600 + seed, 3, (2, 2, 2), (2, 2, 2), predicate_density=0.5) for seed in range(2)]
+        + [random_game(700, 3, (2, 1, 2), (3, 2, 2), predicate_density=0.5)]
+        + [Game((1,), (3,), (F(1),), (0, 1, 0))]
+        + [Game((2,), (1,), (F(1, 3), F(2, 3)), (1, 0))]  # no coordinates at all
+    )
+
+
+@pytest.mark.parametrize("game", _cg_cases(), ids=lambda g: f"{g.input_alphabets}x{g.output_alphabets}")
+def test_ns_value_matches_dense_equality_lp(game):
+    want = _dense_ns_value(game)
+    assert value_ns(game, use_symmetry=True).value == want
+    assert value_ns(game, use_symmetry=False).value == want
+    assert value_ns(game, pivoting="bland").value == want
+
+
+def _captured_ns_problems(monkeypatch, game, **kwargs) -> list[LpProblem]:
+    captured = []
+
+    def spy(problem, **options):
+        captured.append(problem)
+        return lp_solve(problem, **options)
+
+    monkeypatch.setattr(values, "lp_solve", spy)
+    value_ns(game, **kwargs)
+    return captured
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_ns_lp_starts_from_a_feasible_slack_basis(monkeypatch, a3, rounds):
+    game = repeat_game(a3, rounds) if rounds > 1 else a3
+    (problem,) = _captured_ns_problems(monkeypatch, game, rounds=rounds)
+    assert problem.constraints
+    for _, relation, bound in problem.constraints:
+        assert relation == "<="
+        assert bound >= 0
+
+
+def test_symmetry_moving_a_last_output_is_left_out(monkeypatch, chsh):
+    # flipping both outputs preserves a XOR b = x AND y, but moves the last symbol
+    flip = Symmetry((0, 1), ((0, 1), (0, 1)), ((1, 0), (1, 0)))
+    assert preserves_game(chsh, flip)
+    group = values._group_perms(chsh, 1, True)
+    assert values._fixing_last_outputs(group, chsh.output_alphabets) == group
+    monkeypatch.setattr(
+        values, "player_permutation_candidates", lambda g: [flip] + player_permutation_candidates(g)
+    )
+    group = values._group_perms(chsh, 1, True)
+    kept = values._fixing_last_outputs(group, chsh.output_alphabets)
+    assert any(sym == flip for sym, _, _ in group)
+    assert all(sym != flip for sym, _, _ in kept)
+    assert len(kept) * 2 == len(group)
+    with_flip = _captured_ns_problems(monkeypatch, chsh)
+    assert value_ns(chsh).value == 1
+    assert value_snos(chsh).value == 1  # the SNOS quotient keeps the whole group
+    monkeypatch.undo()
+    without_flip = _captured_ns_problems(monkeypatch, chsh)
+    assert with_flip[0].n_vars == without_flip[0].n_vars
