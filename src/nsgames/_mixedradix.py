@@ -2,6 +2,10 @@
 
 Convention used everywhere in the package: the *last* component varies
 fastest, i.e. ``encode((v0, .., vk), (r0, .., rk)) = ((v0*r1 + v1)*r2 + ..)``.
+
+`project` is the one place where index maps between such tables are built:
+subset restrictions, player relabellings, moving one block to the front and
+regrouping per-round symbols are all digit selections or reorderings.
 """
 
 from __future__ import annotations
@@ -28,9 +32,22 @@ def decode(index: int, radii: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def all_tuples(radii: Sequence[int]) -> list[tuple[int, ...]]:
-    """All index tuples in encoding order (last component fastest)."""
-    return [decode(i, radii) for i in range(table_size(radii))]
+def project(sizes: Sequence[int], positions: Sequence[int]) -> tuple[int, ...]:
+    """Map every joint index over `sizes` to the index of its digits at
+    `positions`, taken in that order, over the radii ``sizes[p]``.
+
+    That is, entry ``i`` is ``encode([decode(i, sizes)[p] for p in positions],
+    [sizes[p] for p in positions])``.  A repeated position copies its digit.
+    """
+    weight = [0] * len(sizes)
+    stride = 1
+    for pos in reversed(positions):
+        weight[pos] += stride
+        stride *= sizes[pos]
+    out = [0]
+    for size, w in zip(sizes, weight):
+        out = [base + digit * w for base in out for digit in range(size)]
+    return tuple(out)
 
 
 def integer_nth_root(value: int, n: int) -> int | None:

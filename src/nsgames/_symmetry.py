@@ -135,15 +135,6 @@ def round_permutation_candidates(
     old_round[rho[k]] simultaneously on every player's inputs and outputs.
     """
     players = len(base_inputs)
-
-    def symbol_perm(base: int, rho: tuple[int, ...]) -> tuple[int, ...]:
-        radii = (base,) * rounds
-        out = []
-        for s in range(base**rounds):
-            tup = mr.decode(s, radii)
-            out.append(mr.encode(tuple(tup[rho[k]] for k in range(rounds)), radii))
-        return tuple(out)
-
     candidates = []
     for rho in itertools.permutations(range(rounds)):
         if rho == tuple(range(rounds)):
@@ -151,8 +142,8 @@ def round_permutation_candidates(
         candidates.append(
             Symmetry(
                 tuple(range(players)),
-                tuple(symbol_perm(base_inputs[i], rho) for i in range(players)),
-                tuple(symbol_perm(base_outputs[i], rho) for i in range(players)),
+                tuple(mr.project((base,) * rounds, rho) for base in base_inputs),
+                tuple(mr.project((base,) * rounds, rho) for base in base_outputs),
             )
         )
     return candidates

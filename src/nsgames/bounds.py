@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, NsGamesError
 from .game_model import Game, repeat_game, tensor_power, winning_probability
 from .polytopes import NS_MODE_ALL, is_ns, is_snos
 from .values import MODEL_NS, MODEL_SNOS, ValueResult, value_ns, value_snos
@@ -264,7 +264,7 @@ def repeated_value(model: str, game: Game, rounds: int, *, single: ValueResult |
         ).member
         if member and winning_probability(repeated, witness) == 1:
             return Fraction(1)
-        raise DomainError(
+        raise NsGamesError(
             "internal error: tensor witness failed its certificate"
         )  # pragma: no cover - tensor closure is exact
     return _value(model, repeated, rounds=rounds).value

@@ -12,7 +12,7 @@ the envelope: it emits the bare game document so its output can be fed
 straight back into the other commands.
 
 Exit codes: 0 success/pass, 1 computed fail, 2 usage or input error,
-3 resource-cap error.
+3 resource-cap error, 4 internal error (a failed internal consistency check).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .errors import DomainError, NsGamesError, ResourceLimitError, ShapeError, U
 from .game_model import (
     Correlation,
     JointDistribution,
+    _json_ints,
+    _parse_rational_array,
     correlation_from_json_dict,
     correlation_to_json_dict,
     game_from_json_dict,
@@ -49,6 +51,7 @@ _EXIT_OK = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
+_EXIT_INTERNAL = 4
 
 
 def _round_float(x: float) -> float:
@@ -73,7 +76,10 @@ def _digest(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -169,17 +175,21 @@ def _cmd_reconstruct(args) -> tuple[dict, bool | None]:
     for key in ("players", "inputs", "outputs", "target", "joint", "marginals", "epsilon_empty"):
         if key not in data:
             raise DomainError(f"{args.inputs}: missing field {key!r}")
-    inputs = tuple(int(s) for s in data["inputs"])
-    outputs = tuple(int(s) for s in data["outputs"])
-    target = tuple(parse_rational(v) for v in data["target"])
-    joint = JointDistribution(
-        inputs, outputs, tuple(parse_rational(v) for v in data["joint"])
-    )
+    inputs = _json_ints(data["inputs"], "inputs")
+    outputs = _json_ints(data["outputs"], "outputs")
+    target = _parse_rational_array(data["target"], "target")
+    joint = JointDistribution(inputs, outputs, _parse_rational_array(data["joint"], "joint"))
     marginals: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     epsilons: dict[tuple[int, ...], Fraction] = {(): parse_rational(data["epsilon_empty"])}
+    if not isinstance(data["marginals"], list):
+        raise DomainError(f"{args.inputs}: 'marginals' must be a list")
     for pos, entry in enumerate(data["marginals"]):
-        subset = tuple(sorted(int(i) for i in entry["subset"]))
-        marginals[subset] = tuple(parse_rational(v) for v in entry["table"])
+        if not isinstance(entry, dict) or not {"subset", "table", "epsilon"} <= entry.keys():
+            raise DomainError(
+                f"{args.inputs}: marginals[{pos}] needs the fields 'subset', 'table' and 'epsilon'"
+            )
+        subset = tuple(sorted(_json_ints(entry["subset"], f"marginals[{pos}].subset")))
+        marginals[subset] = _parse_rational_array(entry["table"], f"marginals[{pos}].table")
         epsilons[subset] = parse_rational(entry["epsilon"])
     repaired = reconstruct_snos(target, joint, marginals, epsilons)
     distance = Fraction(0)
@@ -384,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ShapeError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except NsGamesError as exc:  # pragma: no cover - internal consistency failures
+    except NsGamesError as exc:  # internal consistency failures
         print(f"internal error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _EXIT_INTERNAL
     report = {
         "schema": SCHEMA,
         "command": args.command,

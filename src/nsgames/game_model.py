@@ -303,33 +303,23 @@ def winning_probability(game: Game, correlation: Correlation) -> Fraction:
 
 def _round_maps(
     base_inputs: tuple[int, ...], base_outputs: tuple[int, ...], rounds: int
-) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Index maps from per-round base indices to repeated joint indices.
 
     Returns (rep_inputs, rep_outputs, x_map, a_map) where for a tuple
     (j_1..j_n) of base joint-input indices, the repeated joint-input index is
     ``x_map`` applied to the mixed-radix encoding of the tuple (analogously
-    for outputs).
+    for outputs).  Digit ``k*players + i`` of that encoding is player i's
+    symbol in round k; the repeated index lists them player-major.
     """
     players = len(base_inputs)
-    rep_inputs = tuple(s**rounds for s in base_inputs)
-    rep_outputs = tuple(s**rounds for s in base_outputs)
-
-    def build(base_sizes: tuple[int, ...], rep_sizes: tuple[int, ...]) -> list[int]:
-        n_base = mr.table_size(base_sizes)
-        components = [mr.decode(j, base_sizes) for j in range(n_base)]
-        radii = (n_base,) * rounds
-        out = []
-        for combo in range(n_base**rounds):
-            rounds_idx = mr.decode(combo, radii)
-            symbols = []
-            for i in range(players):
-                per_round = tuple(components[j][i] for j in rounds_idx)
-                symbols.append(mr.encode(per_round, (base_sizes[i],) * rounds))
-            out.append(mr.encode(symbols, rep_sizes))
-        return out
-
-    return rep_inputs, rep_outputs, build(base_inputs, rep_inputs), build(base_outputs, rep_outputs)
+    per_player = [k * players + i for i in range(players) for k in range(rounds)]
+    return (
+        tuple(s**rounds for s in base_inputs),
+        tuple(s**rounds for s in base_outputs),
+        mr.project(base_inputs * rounds, per_player),
+        mr.project(base_outputs * rounds, per_player),
+    )
 
 
 def repeat_game(game: Game, rounds: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> Game:
@@ -461,48 +451,24 @@ def symmetrize(correlation: Correlation, rounds: int) -> Correlation:
         return correlation
     base_inputs = _infer_base_alphabets(correlation.input_alphabets, rounds, "input")
     base_outputs = _infer_base_alphabets(correlation.output_alphabets, rounds, "output")
-    players = correlation.players
     n_x, n_a = correlation.n_inputs, correlation.n_outputs
-
-    def round_views(sizes: tuple[int, ...], base: tuple[int, ...], count: int) -> list[list[int]]:
-        """For each joint index, the per-round base joint indices."""
-        views = []
-        for idx in range(count):
-            symbols = mr.decode(idx, tuple(b**rounds for b in base))
-            per_player = [mr.decode(symbols[i], (base[i],) * rounds) for i in range(players)]
-            views.append(
-                [mr.encode(tuple(per_player[i][k] for i in range(players)), base) for k in range(rounds)]
-            )
-        return views
-
-    x_view = round_views(correlation.input_alphabets, base_inputs, n_x)
-    a_view = round_views(correlation.output_alphabets, base_outputs, n_a)
-
-    # joint index from per-round base indices
-    base_x_components = [mr.decode(j, base_inputs) for j in range(mr.table_size(base_inputs))]
-    base_a_components = [mr.decode(j, base_outputs) for j in range(mr.table_size(base_outputs))]
-
-    def joint_index(rounds_idx: Sequence[int], components, base, sizes) -> int:
-        symbols = []
-        for i in range(players):
-            per_round = tuple(components[j][i] for j in rounds_idx)
-            symbols.append(mr.encode(per_round, (base[i],) * rounds))
-        return mr.encode(symbols, sizes)
+    # a joint index is the mixed-radix number of its per-player, per-round
+    # digits (player major); a round permutation reorders each player's digits
+    x_digits = tuple(b for b in base_inputs for _ in range(rounds))
+    a_digits = tuple(b for b in base_outputs for _ in range(rounds))
 
     perms = list(itertools.permutations(range(rounds)))
     weight = Fraction(1, len(perms))
     dens = correlation.densities
     out = [_ZERO] * len(dens)
     for pi in perms:
+        positions = [i * rounds + pi[k] for i in range(correlation.players) for k in range(rounds)]
+        px = mr.project(x_digits, positions)
+        pa = mr.project(a_digits, positions)
         for x in range(n_x):
-            xs = x_view[x]
-            px = joint_index([xs[k] for k in pi], base_x_components, base_inputs,
-                             correlation.input_alphabets)
+            row = px[x] * n_a
             for a in range(n_a):
-                as_ = a_view[a]
-                pa = joint_index([as_[k] for k in pi], base_a_components, base_outputs,
-                                 correlation.output_alphabets)
-                out[x * n_a + a] += dens[px * n_a + pa]
+                out[x * n_a + a] += dens[row + pa[a]]
     return Correlation(
         correlation.input_alphabets,
         correlation.output_alphabets,
@@ -521,7 +487,7 @@ def marginal(correlation: Correlation, subset: SubsetIndex) -> MarginalTable:
     out_sizes = tuple(correlation.output_alphabets[i] for i in members)
     n_a_i = mr.table_size(out_sizes)
     n_x, n_a = correlation.n_inputs, correlation.n_outputs
-    proj = _output_projection(correlation.output_alphabets, members)
+    proj = mr.project(correlation.output_alphabets, members)
     entries = [_ZERO] * (n_x * n_a_i)
     dens = correlation.densities
     for x in range(n_x):
@@ -532,52 +498,22 @@ def marginal(correlation: Correlation, subset: SubsetIndex) -> MarginalTable:
     return MarginalTable(subset, correlation.input_alphabets, out_sizes, tuple(entries))
 
 
-def _output_projection(output_alphabets: tuple[int, ...], members: tuple[int, ...]) -> list[int]:
-    """Map each joint-output index to its restriction onto `members`."""
-    out_sizes = tuple(output_alphabets[i] for i in members)
-    proj = []
-    for a in range(mr.table_size(output_alphabets)):
-        tup = mr.decode(a, output_alphabets)
-        proj.append(mr.encode(tuple(tup[i] for i in members), out_sizes))
-    return proj
-
-
-def input_projection(input_alphabets: tuple[int, ...], members: tuple[int, ...]) -> list[int]:
-    """Map each joint-input index to its restriction onto `members`."""
-    in_sizes = tuple(input_alphabets[i] for i in members)
-    proj = []
-    for x in range(mr.table_size(input_alphabets)):
-        tup = mr.decode(x, input_alphabets)
-        proj.append(mr.encode(tuple(tup[i] for i in members), in_sizes))
-    return proj
-
-
 def permute_players(game: Game, sigma: Sequence[int]) -> Game:
     """Relabel players: old player i becomes player sigma[i] of the result."""
-    players = game.players
-    if sorted(sigma) != list(range(players)):
-        raise DomainError(f"sigma must be a permutation of 0..{players - 1}")
-    new_inputs = [0] * players
-    new_outputs = [0] * players
-    for i in range(players):
-        new_inputs[sigma[i]] = game.input_alphabets[i]
-        new_outputs[sigma[i]] = game.output_alphabets[i]
-    new_inputs, new_outputs = tuple(new_inputs), tuple(new_outputs)
-
-    x_back = _index_pullback(game.input_alphabets, new_inputs, sigma)
-    a_back = _index_pullback(game.output_alphabets, new_outputs, sigma)
-    n_a = game.n_outputs
-    distribution = tuple(game.distribution[x_back[y]] for y in range(game.n_inputs))
-    predicate = [0] * len(game.predicate)
-    for y in range(game.n_inputs):
-        row = y * n_a
-        old_row = x_back[y] * n_a
-        for b in range(n_a):
-            predicate[row + b] = game.predicate[old_row + a_back[b]]
-    return Game(new_inputs, new_outputs, distribution, tuple(predicate))
+    # T is a table over x with one output, V a 0/1 table in the (x, a) layout
+    query = permute_players_correlation(
+        Correlation(game.input_alphabets, (1,) * game.players, game.distribution), sigma
+    )
+    predicate = permute_players_correlation(
+        Correlation(game.input_alphabets, game.output_alphabets, game.predicate), sigma
+    )
+    return Game(
+        predicate.input_alphabets, predicate.output_alphabets, query.densities, predicate.densities
+    )
 
 
 def permute_players_correlation(correlation: Correlation, sigma: Sequence[int]) -> Correlation:
+    """Relabel players: old player i becomes player sigma[i] of the result."""
     players = correlation.players
     if sorted(sigma) != list(range(players)):
         raise DomainError(f"sigma must be a permutation of 0..{players - 1}")
@@ -586,30 +522,13 @@ def permute_players_correlation(correlation: Correlation, sigma: Sequence[int]) 
     for i in range(players):
         new_inputs[sigma[i]] = correlation.input_alphabets[i]
         new_outputs[sigma[i]] = correlation.output_alphabets[i]
-    new_inputs, new_outputs = tuple(new_inputs), tuple(new_outputs)
-    x_back = _index_pullback(correlation.input_alphabets, new_inputs, sigma)
-    a_back = _index_pullback(correlation.output_alphabets, new_outputs, sigma)
-    n_a = correlation.n_outputs
-    densities = [_ZERO] * len(correlation.densities)
-    for y in range(correlation.n_inputs):
-        row = y * n_a
-        old_row = x_back[y] * n_a
-        for b in range(n_a):
-            densities[row + b] = correlation.densities[old_row + a_back[b]]
-    return Correlation(new_inputs, new_outputs, tuple(densities))
-
-
-def _index_pullback(
-    old_sizes: tuple[int, ...], new_sizes: tuple[int, ...], sigma: Sequence[int]
-) -> list[int]:
-    """new joint index -> old joint index under old component i -> slot sigma[i]."""
-    players = len(old_sizes)
-    back = []
-    for y in range(mr.table_size(new_sizes)):
-        tup = mr.decode(y, new_sizes)
-        old_tup = tuple(tup[sigma[i]] for i in range(players))
-        back.append(mr.encode(old_tup, old_sizes))
-    return back
+    # new slot sigma[i] holds old component i: pull each new index back
+    x_back = mr.project(new_inputs, sigma)
+    a_back = mr.project(new_outputs, sigma)
+    n_a = len(a_back)
+    dens = correlation.densities
+    densities = tuple(dens[x * n_a + a] for x in x_back for a in a_back)
+    return Correlation(tuple(new_inputs), tuple(new_outputs), densities)
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -633,16 +552,16 @@ def game_to_json_dict(game: Game) -> dict:
 
 def game_from_json_dict(data: dict) -> Game:
     _require_keys(data, ("players", "inputs", "outputs", "distribution", "predicate"), "game")
-    players = int(data["players"])
-    inputs = tuple(int(s) for s in data["inputs"])
-    outputs = tuple(int(s) for s in data["outputs"])
+    players = _json_int(data["players"], "players")
+    inputs = _json_ints(data["inputs"], "inputs")
+    outputs = _json_ints(data["outputs"], "outputs")
     if len(inputs) != players or len(outputs) != players:
         raise ShapeError(
             f"game: 'players'={players} but inputs/outputs list "
             f"{len(inputs)}/{len(outputs)} alphabets"
         )
     distribution = _parse_rational_array(data["distribution"], "distribution")
-    predicate = tuple(int(v) for v in data["predicate"])
+    predicate = _json_ints(data["predicate"], "predicate")
     return Game(inputs, outputs, distribution, predicate)
 
 
@@ -657,9 +576,9 @@ def correlation_to_json_dict(correlation: Correlation) -> dict:
 
 def correlation_from_json_dict(data: dict) -> Correlation:
     _require_keys(data, ("players", "inputs", "outputs", "densities"), "correlation")
-    players = int(data["players"])
-    inputs = tuple(int(s) for s in data["inputs"])
-    outputs = tuple(int(s) for s in data["outputs"])
+    players = _json_int(data["players"], "players")
+    inputs = _json_ints(data["inputs"], "inputs")
+    outputs = _json_ints(data["outputs"], "outputs")
     if len(inputs) != players or len(outputs) != players:
         raise ShapeError(
             f"correlation: 'players'={players} but inputs/outputs list "
@@ -675,7 +594,28 @@ def _require_keys(data: dict, keys: Iterable[str], what: str) -> None:
         raise ShapeError(f"{what}: missing fields {missing}")
 
 
+def _json_int(raw, field: str) -> int:
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (isinstance(raw, float) and value != raw):
+        raise ShapeError(f"{field}: expected an integer, got {raw!r}")
+    return value
+
+
+def _json_ints(raw, field: str) -> tuple[int, ...]:
+    _check_json_list(raw, field)
+    return tuple(_json_int(v, f"{field}[{pos}]") for pos, v in enumerate(raw))
+
+
+def _check_json_list(raw, field: str) -> None:
+    if not isinstance(raw, (list, tuple)):
+        raise ShapeError(f"{field}: expected a list, got {raw!r}")
+
+
 def _parse_rational_array(values: Sequence, field: str) -> tuple[Fraction, ...]:
+    _check_json_list(values, field)
     out = []
     for pos, raw in enumerate(values):
         if isinstance(raw, str):

@@ -33,14 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _mixedradix as mr
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NsGamesError, ShapeError
 from .exact_lp import LpProblem, lp_solve
 from .game_model import (
     Correlation,
     JointDistribution,
-    MarginalTable,
     SubsetIndex,
-    input_projection,
     marginal,
     singles_complement_subsets,
     strict_subsets,
@@ -132,7 +130,7 @@ def minimal_dominating_marginal(correlation: Correlation, subset: SubsetIndex) -
     in_sizes = tuple(correlation.input_alphabets[i] for i in subset.members)
     n_x_i = mr.table_size(in_sizes)
     n_a_i = marg.n_subset_outputs
-    proj = input_projection(correlation.input_alphabets, subset.members)
+    proj = mr.project(correlation.input_alphabets, subset.members)
     table = [_ZERO] * (n_x_i * n_a_i)
     for x in range(correlation.n_inputs):
         row = x * n_a_i
@@ -223,7 +221,7 @@ def is_ns(correlation: Correlation, mode: str = NS_MODE_SINGLES) -> MembershipRe
     for subset in subsets:
         marg = marginal(correlation, subset)
         in_sizes = tuple(correlation.input_alphabets[i] for i in subset.members)
-        proj = input_projection(correlation.input_alphabets, subset.members)
+        proj = mr.project(correlation.input_alphabets, subset.members)
         n_a_i = marg.n_subset_outputs
         seen: dict[int, int] = {}
         table = [_ZERO] * (mr.table_size(in_sizes) * n_a_i)
@@ -281,7 +279,7 @@ def _joint_subset_marginal(joint: JointDistribution, subset: SubsetIndex) -> lis
     out_sizes = tuple(joint.output_alphabets[i] for i in subset.members)
     n_a_i = mr.table_size(out_sizes)
     n_a = joint.n_outputs
-    proj = _output_proj(joint.output_alphabets, subset.members)
+    proj = mr.project(joint.output_alphabets, subset.members)
     out = [_ZERO] * (joint.n_inputs * n_a_i)
     for x in range(joint.n_inputs):
         row = x * n_a
@@ -289,14 +287,6 @@ def _joint_subset_marginal(joint: JointDistribution, subset: SubsetIndex) -> lis
         for a in range(n_a):
             out[out_row + proj[a]] += joint.entries[row + a]
     return out
-
-
-def _output_proj(output_alphabets: tuple[int, ...], members: tuple[int, ...]) -> list[int]:
-    out_sizes = tuple(output_alphabets[i] for i in members)
-    return [
-        mr.encode(tuple(mr.decode(a, output_alphabets)[i] for i in members), out_sizes)
-        for a in range(mr.table_size(output_alphabets))
-    ]
 
 
 def marginal_consistency_distance(
@@ -316,7 +306,7 @@ def marginal_consistency_distance(
     out_sizes = tuple(joint.output_alphabets[i] for i in members)
     n_x_i, n_a_i = mr.table_size(in_sizes), mr.table_size(out_sizes)
     q_marg = _joint_subset_marginal(joint, subset)
-    x_proj = input_projection(joint.input_alphabets, members)
+    x_proj = mr.project(joint.input_alphabets, members)
     blocks: dict[int, list[int]] = {x_i: [] for x_i in range(n_x_i)}
     for x in range(joint.n_inputs):
         blocks[x_proj[x]].append(x)
@@ -352,7 +342,7 @@ def marginal_consistency_distance(
         problem = LpProblem(tuple(objective), tuple(constraints), maximize=False)
         solution = lp_solve(problem)
         if solution.status != "optimal":
-            raise AssertionError(f"consistency LP unexpectedly {solution.status}")
+            raise NsGamesError(f"internal error: consistency LP reported {solution.status}")
         total += solution.value
         for a_i in range(n_a_i):
             r_table[x_i * n_a_i + a_i] = solution.witness[a_i]
@@ -415,7 +405,7 @@ def tilde_fidelity(joint: JointDistribution, target: Sequence[Fraction]) -> floa
         out_sizes = tuple(joint.output_alphabets[i] for i in members)
         n_x_i, n_a_i = mr.table_size(in_sizes), mr.table_size(out_sizes)
         q_marg = _joint_subset_marginal(joint, subset)
-        x_proj = input_projection(joint.input_alphabets, members)
+        x_proj = mr.project(joint.input_alphabets, members)
         c_parts: dict[tuple[int, int], list[float]] = {}
         for x in range(joint.n_inputs):
             t = target[x]

@@ -20,7 +20,7 @@ _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer string) into a reduced Fraction."""
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
     if match is None:
         raise DomainError(f"not a rational literal: {text!r}")
     num = int(match.group(1))

@@ -37,7 +37,6 @@ from .game_model import (
     Correlation,
     JointDistribution,
     SubsetIndex,
-    input_projection,
     singles_complement_subsets,
     strict_subsets,
 )
@@ -291,8 +290,8 @@ class ReconstructionProblem:
         """(1/2) || joint_{B_j Z} - target.Q_j ||_1, exactly."""
         n_z, n_b = self.n_z, self.n_b
         b_j = self.block_outputs[j]
-        proj = _component_projection(self.block_outputs, j)
-        z_comp = _component_projection(self.block_inputs, j)
+        proj = mr.project(self.block_outputs, (j,))
+        z_comp = mr.project(self.block_inputs, (j,))
         total = _ZERO
         for z in range(n_z):
             got = [_ZERO] * b_j
@@ -307,45 +306,28 @@ class ReconstructionProblem:
         return total / 2
 
 
-def _component_projection(sizes: tuple[int, ...], j: int) -> list[int]:
-    """joint index -> its j-th mixed-radix component."""
-    return [mr.decode(idx, sizes)[j] for idx in range(mr.table_size(sizes))]
-
-
-def _block_reshape_maps(sizes: tuple[int, ...], j: int) -> tuple[int, list[int], list[int]]:
-    """Maps between the joint index space and the (component j, rest) split."""
-    rest_sizes = tuple(s for pos, s in enumerate(sizes) if pos != j)
-    n_rest = mr.table_size(rest_sizes)
-    comp = [0] * mr.table_size(sizes)
-    rest = [0] * mr.table_size(sizes)
-    for idx in range(mr.table_size(sizes)):
-        tup = mr.decode(idx, sizes)
-        comp[idx] = tup[j]
-        rest[idx] = mr.encode(tuple(v for pos, v in enumerate(tup) if pos != j), rest_sizes)
-    return n_rest, comp, rest
-
-
 def _adjust_block_marginals(
     conditional: list[Fraction],
     block_targets: list[tuple[Fraction, ...]],
-    reshape_maps: list[tuple[int, list[int], list[int]]],
+    front_maps: list[tuple[int, ...]],
     block_outputs: tuple[int, ...],
 ) -> list[Fraction]:
-    """Apply `coupling_adjust` once per block to a conditional over B."""
+    """Apply `coupling_adjust` once per block to a conditional over B.
+
+    `front_maps[j]` sends a joint index over B to its index with block j's
+    component moved to the front, i.e. to the (b_j, rest) split.
+    """
     n_b = len(conditional)
     current = conditional
     for j, target in enumerate(block_targets):
         b_j = block_outputs[j]
-        n_rest, comp, rest = reshape_maps[j]
-        reshaped = [_ZERO] * (b_j * n_rest)
+        front = front_maps[j]
+        reshaped = [_ZERO] * n_b
         for idx in range(n_b):
             if current[idx]:
-                reshaped[comp[idx] * n_rest + rest[idx]] = current[idx]
-        adjusted = coupling_adjust(reshaped, target, b_j, n_rest)
-        nxt = [_ZERO] * n_b
-        for idx in range(n_b):
-            nxt[idx] = adjusted[comp[idx] * n_rest + rest[idx]]
-        current = nxt
+                reshaped[front[idx]] = current[idx]
+        adjusted = coupling_adjust(reshaped, target, b_j, n_b // b_j)
+        current = [adjusted[f] for f in front]
     return current
 
 
@@ -361,8 +343,11 @@ def reconstruct_multi_marginal(problem: ReconstructionProblem) -> tuple[Fraction
     the tests assert.
     """
     n_z, n_b = problem.n_z, problem.n_b
-    reshape_maps = [_block_reshape_maps(problem.block_outputs, j) for j in range(problem.blocks)]
-    z_comps = [_component_projection(problem.block_inputs, j) for j in range(problem.blocks)]
+    blocks = range(problem.blocks)
+    front_maps = [  # component j moved to the front
+        mr.project(problem.block_outputs, (j, *(p for p in blocks if p != j))) for j in blocks
+    ]
+    z_comps = [mr.project(problem.block_inputs, (j,)) for j in blocks]
     uniform = Fraction(1, n_b)
     out: list[Fraction] = []
     for z in range(n_z):
@@ -378,7 +363,7 @@ def reconstruct_multi_marginal(problem: ReconstructionProblem) -> tuple[Fraction
             z_j = z_comps[j][z]
             targets.append(problem.marginals[j][z_j * b_j : (z_j + 1) * b_j])
         out.extend(
-            _adjust_block_marginals(conditional, targets, reshape_maps, problem.block_outputs)
+            _adjust_block_marginals(conditional, targets, front_maps, problem.block_outputs)
         )
     return tuple(out)
 
@@ -451,16 +436,14 @@ def reconstruct_snos(
     block_outputs = tuple(
         mr.table_size(tuple(joint.output_alphabets[i] for i in s.members)) for s in subsets
     )
-    x_projs = [input_projection(joint.input_alphabets, s.members) for s in subsets]
-    a_projs = [
-        _subset_output_projection(joint.output_alphabets, s.members) for s in subsets
-    ]
+    x_projs = [mr.project(joint.input_alphabets, s.members) for s in subsets]
     n_a = joint.n_outputs
-    delta = [
-        mr.encode(tuple(a_projs[j][a] for j in range(len(subsets))), block_outputs)
-        for a in range(n_a)
+    # diagonal embedding: block j holds a_I for the j-th subset I
+    delta = mr.project(joint.output_alphabets, [i for s in subsets for i in s.members])
+    blocks = range(len(subsets))
+    front_maps = [  # component j moved to the front
+        mr.project(block_outputs, (j, *(p for p in blocks if p != j))) for j in blocks
     ]
-    reshape_maps = [_block_reshape_maps(block_outputs, j) for j in range(len(subsets))]
     n_b = mr.table_size(block_outputs)
     uniform = Fraction(1, n_b)
 
@@ -480,7 +463,7 @@ def reconstruct_snos(
             b_j = block_outputs[j]
             z_j = x_projs[j][x]
             targets.append(block_tables[j][z_j * b_j : (z_j + 1) * b_j])
-        adjusted = _adjust_block_marginals(lifted, targets, reshape_maps, block_outputs)
+        adjusted = _adjust_block_marginals(lifted, targets, front_maps, block_outputs)
         densities.extend(adjusted[delta[a]] for a in range(n_a))
 
     result = Correlation(joint.input_alphabets, joint.output_alphabets, tuple(densities))
@@ -498,16 +481,6 @@ def reconstruct_snos(
     return result
 
 
-def _subset_output_projection(
-    output_alphabets: tuple[int, ...], members: tuple[int, ...]
-) -> list[int]:
-    sizes = tuple(output_alphabets[i] for i in members)
-    return [
-        mr.encode(tuple(mr.decode(a, output_alphabets)[i] for i in members), sizes)
-        for a in range(mr.table_size(output_alphabets))
-    ]
-
-
 def _subset_certificate_distance(
     joint: JointDistribution,
     target: tuple[Fraction, ...],
@@ -519,8 +492,8 @@ def _subset_certificate_distance(
     n_a_i = mr.table_size(tuple(joint.output_alphabets[i] for i in members))
     if len(table) != n_a_i * mr.table_size(tuple(joint.input_alphabets[i] for i in members)):
         raise ShapeError(f"marginal table for subset {members} has the wrong size")
-    a_proj = _subset_output_projection(joint.output_alphabets, members)
-    x_proj = input_projection(joint.input_alphabets, members)
+    a_proj = mr.project(joint.output_alphabets, members)
+    x_proj = mr.project(joint.input_alphabets, members)
     n_a = joint.n_outputs
     total = _ZERO
     for x in range(joint.n_inputs):
@@ -568,8 +541,8 @@ def nearest_ns(
         constraints.append((tuple(row), "=", _ONE))
     for subset in singles_complement_subsets(conditional.players):
         members = subset.members
-        x_proj = input_projection(conditional.input_alphabets, members)
-        a_proj = _subset_output_projection(conditional.output_alphabets, members)
+        x_proj = mr.project(conditional.input_alphabets, members)
+        a_proj = mr.project(conditional.output_alphabets, members)
         n_a_i = mr.table_size(tuple(conditional.output_alphabets[i] for i in members))
         blocks: dict[int, list[int]] = {}
         for x in range(n_x):

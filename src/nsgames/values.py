@@ -57,7 +57,6 @@ from .game_model import (
     Correlation,
     Game,
     _infer_base_alphabets,
-    input_projection,
     strict_subsets,
     winning_probability,
 )
@@ -133,19 +132,6 @@ def _pair_orbits(
                     stack.append(img)
         count += 1
     return orbit_of, count
-
-
-def _output_groups(
-    output_alphabets: tuple[int, ...], members: tuple[int, ...]
-) -> tuple[int, list[list[int]]]:
-    """(n_a_I, lists of joint outputs sharing each a_I restriction)."""
-    out_sizes = tuple(output_alphabets[i] for i in members)
-    n_a_i = mr.table_size(out_sizes)
-    groups: list[list[int]] = [[] for _ in range(n_a_i)]
-    for a in range(mr.table_size(output_alphabets)):
-        tup = mr.decode(a, output_alphabets)
-        groups[mr.encode(tuple(tup[i] for i in members), out_sizes)].append(a)
-    return n_a_i, groups
 
 
 def _subset_orbits(
@@ -391,8 +377,11 @@ def value_snos(
     for x in range(n_x):  # empty subset: total mass at most 1 per input
         rows.add(_project({x * n_a + a: _ONE for a in range(n_a)}, orbit_of), "<=", _ONE)
     for mask, (members, in_sizes, out_sizes) in mask_info.items():
-        x_proj = input_projection(game.input_alphabets, members)
-        n_a_i, out_groups = _output_groups(game.output_alphabets, members)
+        x_proj = mr.project(game.input_alphabets, members)
+        n_a_i = mr.table_size(out_sizes)
+        out_groups: list[list[int]] = [[] for _ in range(n_a_i)]
+        for a, a_i in enumerate(mr.project(game.output_alphabets, members)):
+            out_groups[a_i].append(a)
         for x in range(n_x):
             for a_i in range(n_a_i):
                 entries = _project(

@@ -17,8 +17,7 @@ from nsgames import (
     pr_box,
     strict_subsets,
 )
-from nsgames._mixedradix import decode, encode, table_size
-from nsgames.game_model import input_projection
+from nsgames._mixedradix import decode, encode, project, table_size
 
 F = Fraction
 
@@ -119,7 +118,7 @@ def random_joint(rng: random.Random, inputs, outputs, denom=64) -> JointDistribu
 def subset_conditional_table(correlation: Correlation, subset) -> tuple[Fraction, ...]:
     """Q_I(a_I|x_I) read off an NS correlation (whose marginals are local)."""
     table_full = marginal(correlation, subset)
-    proj = input_projection(correlation.input_alphabets, subset.members)
+    proj = project(correlation.input_alphabets, subset.members)
     in_sizes = tuple(correlation.input_alphabets[i] for i in subset.members)
     n_a_i = table_full.n_subset_outputs
     out = [F(0)] * (table_size(in_sizes) * n_a_i)

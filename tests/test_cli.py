@@ -6,6 +6,7 @@ import pytest
 
 from nsgames import (
     JointDistribution,
+    NsGamesError,
     correlation_to_json_dict,
     example_snos_strategy,
     format_rational,
@@ -219,6 +220,52 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert "line" in err and "column" in err
     code, _, err = run(capsys, "catalog", "export", "nonexistent")
     assert code == 2
+
+
+def test_non_integer_alphabet_exits_2(capsys, tmp_path, chsh):
+    data = game_to_json_dict(chsh)
+    data["inputs"] = ["a", "b"]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "value", str(path), "--model", "ns")
+    assert code == 2
+    assert err.startswith("error:") and "inputs[0]" in err
+
+
+def test_reconstruct_marginal_without_epsilon_exits_2(capsys, tmp_path):
+    payload = {
+        "players": 2,
+        "inputs": [1, 1],
+        "outputs": [1, 1],
+        "target": ["1/1"],
+        "joint": ["1/1"],
+        "marginals": [{"subset": [0], "table": ["1/1"]}],
+        "epsilon_empty": "0/1",
+    }
+    path = tmp_path / "reconstruct.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "reconstruct", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "marginals[0]" in err
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_bytes(b'{"players": "\xff"}')
+    code, _, err = run(capsys, "value", str(path), "--model", "ns")
+    assert code == 2
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch, a3_file):
+    def broken(*args, **kwargs):
+        raise NsGamesError("simulated consistency failure")
+
+    monkeypatch.setattr("nsgames.cli.value_ns", broken)
+    code, out, err = run(capsys, "value", a3_file, "--model", "ns")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 def test_exit_code_resource_error(capsys, chsh_file):

@@ -199,6 +199,16 @@ def test_symmetrize_two_rounds_is_average_with_swap():
     assert symmetrize(corr, 2).densities == expected
 
 
+@pytest.mark.parametrize("inputs, outputs", [((4, 9), (9, 4)), ((9, 4), (4, 9))])
+def test_symmetrize_two_rounds_on_ragged_alphabets(inputs, outputs):
+    """Base alphabets (2, 3)/(3, 2) and (3, 2)/(2, 3), squared."""
+    rng = random.Random(12)
+    corr = random_correlation(rng, inputs, outputs)
+    swapped = _swap_rounds_correlation(corr)
+    expected = tuple((a + b) / 2 for a, b in zip(corr.densities, swapped.densities))
+    assert symmetrize(corr, 2).densities == expected
+
+
 def test_symmetrize_fixes_symmetric_input(pr):
     sym = tensor_power(pr, 2)
     assert symmetrize(sym, 2).densities == sym.densities
@@ -311,6 +321,18 @@ def test_game_json_reports_field_position(chsh):
     data = game_to_json_dict(chsh)
     data["distribution"][2] = "nonsense"
     with pytest.raises(DomainError, match=r"distribution\[2\]"):
+        game_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("players", 2.5), ("players", None), ("inputs", "22"), ("outputs", [2, "b"]),
+     ("predicate", 1), ("distribution", 5)],
+)
+def test_game_json_rejects_malformed_fields(chsh, field, value):
+    data = game_to_json_dict(chsh)
+    data[field] = value
+    with pytest.raises(ShapeError, match=field):
         game_from_json_dict(data)
 
 

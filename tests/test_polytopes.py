@@ -22,7 +22,7 @@ from nsgames import (
     tilde_fidelity,
     trace_distance,
 )
-from nsgames.game_model import input_projection
+from nsgames import _mixedradix as mr
 from nsgames.polytopes import NS_MODE_ALL, NS_MODE_SINGLES
 
 from conftest import (
@@ -129,7 +129,7 @@ def test_snos_witnesses_dominate(a3_strategy):
     for witness in report.witnesses:
         subset = witness.subset
         marg = marginal(a3_strategy, subset)
-        proj = input_projection(a3_strategy.input_alphabets, subset.members)
+        proj = mr.project(a3_strategy.input_alphabets, subset.members)
         for x in range(a3_strategy.n_inputs):
             for a_i in range(witness.n_outputs):
                 assert marg.value(x, a_i) <= witness.value(proj[x], a_i)
@@ -193,7 +193,7 @@ def snos_membership_by_lp(corr: Correlation) -> bool:
                 return False
             continue
         marg = marginal(corr, subset)
-        proj = input_projection(corr.input_alphabets, subset.members)
+        proj = mr.project(corr.input_alphabets, subset.members)
         n_x_i = max(proj) + 1
         n_a_i = marg.n_subset_outputs
         n_vars = n_x_i * n_a_i  # Q(a_I | x_I)
@@ -283,7 +283,7 @@ def _distance_by_breakpoints(joint: JointDistribution, target, subset) -> Fracti
     from nsgames.polytopes import _joint_subset_marginal
 
     members = subset.members
-    proj = input_projection(joint.input_alphabets, members)
+    proj = mr.project(joint.input_alphabets, members)
     n_a_i = 2
     q_marg = _joint_subset_marginal(joint, subset)
     blocks: dict[int, list[int]] = {}
@@ -430,7 +430,7 @@ def tilde_fidelity_grid_oracle(joint: JointDistribution, target, step=1000):
     for subset in strict_subsets(2, include_empty=False):
         members = subset.members
         q_marg = _joint_subset_marginal(joint, subset)
-        proj = input_projection(joint.input_alphabets, members)
+        proj = mr.project(joint.input_alphabets, members)
         r = np.linspace(0.0, 1.0, step + 1)
         parts = []
         for x_i in range(2):

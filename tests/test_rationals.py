@@ -13,7 +13,7 @@ def test_parse_canonical_and_integers():
     assert parse_rational("3/-6") == Fraction(-1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5", "1/2/3", "2 3"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5", "1/2/3", "2 3", 3, None])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(DomainError):
         parse_rational(bad)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from nsgames import (
     is_ns,
     is_snos,
     lp_solve,
+    permute_players,
+    permute_players_correlation,
     random_game,
     repeat_game,
     strict_subsets,
@@ -191,6 +194,27 @@ def test_rounds_hint_needs_product_alphabets():
     game = random_game(5, 2, (3, 2), (2, 2), predicate_density=0.5)
     with pytest.raises(ShapeError):
         value_ns(game, rounds=2)
+
+
+# --- invariance under player relabelling ----------------------------------------------
+
+
+@pytest.mark.parametrize("sigma", list(itertools.permutations(range(3))))
+def test_values_invariant_under_player_relabelling(sigma):
+    """Every value is unchanged on the relabelled ragged game, and the
+    relabelled witness is a member winning it with the same value."""
+    game = random_game(41, 3, (2, 1, 2), (2, 3, 2))
+    permuted = permute_players(game, sigma)
+    for solve, member in (
+        (value_ns, lambda c: is_ns(c, NS_MODE_ALL)),
+        (value_snos, is_snos),
+        (value_classical, lambda c: is_ns(c, NS_MODE_ALL)),
+    ):
+        result = solve(game)
+        assert solve(permuted).value == result.value
+        image = permute_players_correlation(result.strategy, sigma)
+        assert member(image).member
+        assert winning_probability(permuted, image) == result.value
 
 
 # --- Collins-Gisin NS LP against the dense equality-form LP --------------------------
