@@ -19,9 +19,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import _mixedradix as mr
+from .errors import ResourceLimitError
 from .game_model import Game
 
-#: safety cap on the closure computation; the groups used here are tiny
+#: cap on the closure computation; a larger group raises ResourceLimitError
 _GROUP_CAP = 20000
 
 
@@ -128,17 +129,19 @@ def player_permutation_candidates(game: Game) -> list[Symmetry]:
 def round_permutation_candidates(
     base_inputs: tuple[int, ...], base_outputs: tuple[int, ...], rounds: int
 ) -> list[Symmetry]:
-    """Symmetries permuting the rounds of an n-fold product alphabet.
+    """Generators of the round permutations of an n-fold product alphabet.
 
     Player i's product symbol encodes its per-round values with the last
     round fastest; each round permutation rho acts as new_round[k] =
     old_round[rho[k]] simultaneously on every player's inputs and outputs.
+    Only the n - 1 adjacent transpositions are returned: they generate every
+    round permutation, and handing all n! - 1 of them to `symmetry_group`
+    would make its closure cost O(n!^2).
     """
     players = len(base_inputs)
     candidates = []
-    for rho in itertools.permutations(range(rounds)):
-        if rho == tuple(range(rounds)):
-            continue
+    for k in range(rounds - 1):
+        rho = (*range(k), k + 1, k, *range(k + 2, rounds))
         candidates.append(
             Symmetry(
                 tuple(range(players)),
@@ -168,7 +171,9 @@ def symmetry_group(game: Game, candidates: Sequence[Symmetry]) -> list[Symmetry]
                     group[nxt.key()] = nxt
                     new_frontier.append(nxt)
                     if len(group) > _GROUP_CAP:
-                        raise AssertionError("symmetry group closure exceeded sanity cap")
+                        raise ResourceLimitError(
+                            f"the symmetry group has more than {_GROUP_CAP} elements"
+                        )
         frontier = new_frontier
     ordered = [identity] + [sym for key, sym in sorted(group.items()) if sym != identity]
     return ordered

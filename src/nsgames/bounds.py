@@ -293,20 +293,38 @@ def verify_sandwich(game: Game, rounds: int, model: str) -> BoundReport:
     )
 
 
-def verify_domination(game: Game, rounds: int, *, gamma: float | None = None) -> list[BoundReport]:
+def _single_and_repeated(
+    model: str, game: Game, rounds: int, sandwich: BoundReport | None
+) -> tuple[Fraction, Fraction]:
+    if sandwich is not None and sandwich.params["model"] == model:
+        if sandwich.params["rounds"] != rounds:
+            raise DomainError("the sandwich report was computed for another number of rounds")
+        return sandwich.params["value_single"], sandwich.params["value_repeated"]
+    single = _value(model, game)
+    return single.value, repeated_value(model, game, rounds, single=single)
+
+
+def verify_domination(
+    game: Game,
+    rounds: int,
+    *,
+    gamma: float | None = None,
+    sandwich: BoundReport | None = None,
+) -> list[BoundReport]:
     """Exact repeated value against every applicable closed-form bound.
 
     Always evaluates the universal SNOS bound with delta = 1 - value_snos(G);
     adds the optimized two-player NS bound when the game has two players, and
     the full-support NS bound when `gamma` is supplied and the query
-    distribution has full support.
+    distribution has full support.  A `verify_sandwich` report for the same
+    game and rounds supplies its model's single and repeated values, so
+    those LPs are not solved again.
     """
     reports: list[BoundReport] = []
     players = game.players
 
-    snos_single = value_snos(game)
-    delta_snos = 1 - snos_single.value
-    snos_repeated = repeated_value(MODEL_SNOS, game, rounds, single=snos_single)
+    snos_single, snos_repeated = _single_and_repeated(MODEL_SNOS, game, rounds, sandwich)
+    delta_snos = 1 - snos_single
     bound = bound_thm1_repetition(float(delta_snos), players, rounds)
     reports.append(
         BoundReport(
@@ -318,9 +336,8 @@ def verify_domination(game: Game, rounds: int, *, gamma: float | None = None) ->
         )
     )
     if players == 2 or (gamma is not None and game.has_full_support()):
-        ns_single = value_ns(game)
-        delta_ns = 1 - ns_single.value
-        ns_repeated = repeated_value(MODEL_NS, game, rounds, single=ns_single)
+        ns_single, ns_repeated = _single_and_repeated(MODEL_NS, game, rounds, sandwich)
+        delta_ns = 1 - ns_single
         if players == 2:
             bound = bound_thm3(float(delta_ns), rounds, "repetition")
             reports.append(

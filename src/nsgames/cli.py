@@ -275,7 +275,7 @@ def _cmd_bound(args) -> tuple[dict, bool | None]:
 def _cmd_verify(args) -> tuple[dict, bool | None]:
     game = _load_game(args.game)
     sandwich = bounds_mod.verify_sandwich(game, args.n, args.model)
-    domination = bounds_mod.verify_domination(game, args.n, gamma=args.gamma)
+    domination = bounds_mod.verify_domination(game, args.n, gamma=args.gamma, sandwich=sandwich)
     all_passed = sandwich.passed and all(r.passed for r in domination)
     def render(report):
         return {

@@ -19,7 +19,8 @@ no-signalling objects to exact members of the target sets.
   and restricts back along the diagonal embedding; the result is exactly
   sub-no-signalling, and for two players exactly no-signalling.
 * `nearest_ns` — exact LP projection: the no-signalling correlation
-  minimizing (1/2)||T.P'' - T.P'||_1, with the minimum distance.
+  minimizing (1/2)||T.P'' - T.P'||_1, with the minimum distance; an LP over
+  Collins-Gisin coordinates, distance = sum of positive parts.
 
 All arithmetic is exact.
 """
@@ -32,19 +33,14 @@ from fractions import Fraction
 
 from . import _mixedradix as mr
 from .errors import DomainError, NsGamesError, ShapeError, UnsupportedError
-from .exact_lp import LpProblem, lp_solve
-from .game_model import (
-    Correlation,
-    JointDistribution,
-    SubsetIndex,
-    singles_complement_subsets,
-    strict_subsets,
-)
+from ._symmetry import identity_symmetry
+from .exact_lp import LpProblem
+from .game_model import Correlation, JointDistribution, SubsetIndex, strict_subsets
 from .polytopes import NS_MODE_ALL, is_ns, is_snos
+from .values import _ns_forms, _ns_nonnegativity, _ns_point, _QuotientRows, _solved
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 # --- bump-up ----------------------------------------------------------------
@@ -529,58 +525,34 @@ def nearest_ns(
         if conditional.mass(x) != 1:
             raise DomainError("the conditional must be normalized per input")
 
+    inputs, outputs = conditional.input_alphabets, conditional.output_alphabets
     n_x, n_a = conditional.n_inputs, conditional.n_outputs
-    n_p = n_x * n_a
-    n_vars = 2 * n_p  # P'' table, then u >= |T (P'' - P')|
-    objective = [_ZERO] * n_p + [_HALF] * n_p
-    constraints = []
-    for x in range(n_x):
-        row = [_ZERO] * n_vars
-        for a in range(n_a):
-            row[x * n_a + a] = _ONE
-        constraints.append((tuple(row), "=", _ONE))
-    for subset in singles_complement_subsets(conditional.players):
-        members = subset.members
-        x_proj = mr.project(conditional.input_alphabets, members)
-        a_proj = mr.project(conditional.output_alphabets, members)
-        n_a_i = mr.table_size(tuple(conditional.output_alphabets[i] for i in members))
-        blocks: dict[int, list[int]] = {}
-        for x in range(n_x):
-            blocks.setdefault(x_proj[x], []).append(x)
-        for xs in blocks.values():
-            ref = xs[0]
-            for x in xs[1:]:
-                for a_i in range(n_a_i):
-                    row = [_ZERO] * n_vars
-                    for a in range(n_a):
-                        if a_proj[a] == a_i:
-                            row[x * n_a + a] += _ONE
-                            row[ref * n_a + a] -= _ONE
-                    constraints.append((tuple(row), "=", _ZERO))
-    for x in range(n_x):
-        t = target[x]
-        for a in range(n_a):
-            idx = x * n_a + a
-            rhs = t * conditional.densities[idx]
-            up = [_ZERO] * n_vars
-            up[idx] = t
-            up[n_p + idx] = -_ONE
-            constraints.append((tuple(up), "<=", rhs))
-            dn = [_ZERO] * n_vars
-            dn[idx] = -t
-            dn[n_p + idx] = -_ONE
-            constraints.append((tuple(dn), "<=", -rhs))
-
-    problem = LpProblem(tuple(objective), tuple(constraints), maximize=False)
-    solution = lp_solve(problem)
-    if solution.status != "optimal":
-        raise NsGamesError(f"internal error: projection LP reported {solution.status}")
-    witness = Correlation(
-        conditional.input_alphabets,
-        conditional.output_alphabets,
-        tuple(solution.witness[:n_p]),
-    )
+    trivial = [(identity_symmetry(inputs, outputs), list(range(n_x)), list(range(n_a)))]
+    n_vars, forms = _ns_forms(inputs, outputs, trivial, range(n_x * n_a))
+    rows = _QuotientRows()
+    _ns_nonnegativity(rows, forms)
+    # both tables are normalized per input, so the distance is the sum of the
+    # positive parts u(x, a) >= T(x) (P'(a|x) - P''(a|x)); a row is needed
+    # only where T(x) P'(a|x) > 0, written as -T L(v) - u <= T (constant - P')
+    n_u = 0
+    for idx, (entries, constant) in enumerate(forms):
+        t = target[idx // n_a]
+        mass = t * conditional.densities[idx]
+        if mass:
+            row = {var: -t * c for var, c in entries.items()}
+            row[n_vars + n_u] = -_ONE
+            rows.add(row, "<=", t * constant - mass)
+            n_u += 1
+    if n_vars:
+        problem = LpProblem(
+            (_ZERO,) * n_vars + (_ONE,) * n_u, rows.to_constraints(n_vars + n_u), maximize=False
+        )
+        solution = _solved(problem, "dantzig-lex", "projection")
+        point, distance = solution.witness, solution.value
+    else:  # every player has one output: the deterministic point is the polytope
+        point, distance = (), _ZERO
+    witness = Correlation(inputs, outputs, _ns_point(point, forms))
     post = is_ns(witness, NS_MODE_ALL)
     if not post.member:
         raise NsGamesError(f"internal error: projection witness not NS: {post.violation}")
-    return witness, solution.value
+    return witness, distance

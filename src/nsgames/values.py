@@ -37,7 +37,7 @@ LP-free oracle.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,6 +72,11 @@ MODEL_NS = "ns"
 MODEL_SNOS = "snos"
 MODEL_CLASSICAL = "classical"
 
+#: group elements with their induced input and output index permutations
+_Group = list[tuple[Symmetry, list[int], list[int]]]
+#: P(a|x) = constant + sum coeff * v[var], as ({var: coeff}, constant)
+_Form = tuple[dict[int, int], int]
+
 
 @dataclass(frozen=True)
 class ValueResult:
@@ -92,7 +97,7 @@ class ValueResult:
 
 def _group_perms(
     game: Game, rounds: int, use_symmetry: bool
-) -> list[tuple[Symmetry, list[int], list[int]]]:
+) -> _Group:
     candidates: list[Symmetry] = []
     if use_symmetry:
         candidates.extend(player_permutation_candidates(game))
@@ -111,9 +116,7 @@ def _group_perms(
     ]
 
 
-def _pair_orbits(
-    n_x: int, n_a: int, group: list[tuple[Symmetry, list[int], list[int]]]
-) -> tuple[list[int], int]:
+def _pair_orbits(n_x: int, n_a: int, group: _Group) -> tuple[list[int], int]:
     """Orbit id per P-table index (x * n_a + a), ids in first-seen order."""
     orbit_of = [-1] * (n_x * n_a)
     count = 0
@@ -135,23 +138,23 @@ def _pair_orbits(
 
 
 def _subset_orbits(
-    game: Game,
-    group: list[tuple[Symmetry, list[int], list[int]]],
+    inputs: tuple[int, ...],
+    group: _Group,
     masks: Sequence[int],
     out_alphabets: tuple[int, ...],
 ) -> tuple[dict[int, tuple], dict[tuple[int, int, int], int], int]:
     """Orbit ids of subset coordinates (mask, x_I, a_I), in first-seen order.
 
-    Player i's coordinate outputs range over `out_alphabets[i]` symbols; every
-    group element must map that range onto itself.  Returns the (members,
-    input sizes, output sizes) of each mask, the orbit id per coordinate and
-    the orbit count.
+    Player i's coordinate inputs range over `inputs[i]` symbols and its
+    outputs over `out_alphabets[i]`; every group element must map those
+    ranges onto themselves.  Returns the (members, input sizes, output sizes)
+    of each mask, the orbit id per coordinate and the orbit count.
     """
     mask_info: dict[int, tuple] = {}
     orbit_of: dict[tuple[int, int, int], int] = {}
     for mask in masks:
-        members = tuple(i for i in range(game.players) if mask >> i & 1)
-        in_sizes = tuple(game.input_alphabets[i] for i in members)
+        members = tuple(i for i in range(len(inputs)) if mask >> i & 1)
+        in_sizes = tuple(inputs[i] for i in members)
         out_sizes = tuple(out_alphabets[i] for i in members)
         mask_info[mask] = (members, in_sizes, out_sizes)
         for x_i in range(mr.table_size(in_sizes)):
@@ -253,9 +256,7 @@ def _solved(problem: LpProblem, pivoting: str, what: str) -> LpSolution:
     return solution
 
 
-def _fixing_last_outputs(
-    group: list[tuple[Symmetry, list[int], list[int]]], output_alphabets: tuple[int, ...]
-) -> list[tuple[Symmetry, list[int], list[int]]]:
+def _fixing_last_outputs(group: _Group, output_alphabets: tuple[int, ...]) -> _Group:
     """The subgroup of elements that fix every player's last output symbol.
 
     Collins-Gisin coordinates leave the last symbol out, so only these
@@ -292,6 +293,50 @@ def _cg_terms(
     return terms
 
 
+def _ns_forms(
+    inputs: tuple[int, ...], outputs: tuple[int, ...], group: _Group, indices: Iterable[int]
+) -> tuple[int, list[_Form]]:
+    """The Collins-Gisin parametrization of the NS polytope over the alphabets.
+
+    One variable per orbit of coordinates p_I(a_I|x_I) under `group`, which
+    must fix every player's last output symbol.  Returns the variable count
+    and the affine form of P(a|x) per P-table index (x * n_a + a) in `indices`.
+    """
+    last = tuple(s - 1 for s in outputs)
+    _, var_of, n_vars = _subset_orbits(inputs, group, range(1, 2 ** len(inputs)), last)
+    n_a = mr.table_size(outputs)
+    forms = []
+    for idx in indices:
+        x, a = divmod(idx, n_a)
+        entries: dict[int, int] = {}
+        constant = 0
+        x_tup, a_tup = mr.decode(x, inputs), mr.decode(a, outputs)
+        for mask, x_i, a_i, sign in _cg_terms(x_tup, a_tup, inputs, last):
+            if mask:
+                var = var_of[(mask, x_i, a_i)]
+                entries[var] = entries.get(var, 0) + sign
+            else:
+                constant += sign
+        forms.append((entries, constant))
+    return n_vars, forms
+
+
+def _ns_nonnegativity(rows: _QuotientRows, forms: list[_Form]) -> None:
+    """Add P(a|x) >= 0 as -L(v) <= constant for every form that v >= 0 does
+    not already make nonnegative."""
+    for entries, constant in forms:
+        if any(c < 0 for c in entries.values()):
+            rows.add({var: Fraction(-c) for var, c in entries.items()}, "<=", Fraction(constant))
+
+
+def _ns_point(point: Sequence[Fraction], forms: list[_Form]) -> tuple[Fraction, ...]:
+    """The P-table entries of the forms at the coordinate point."""
+    return tuple(
+        constant + sum((c * point[var] for var, c in entries.items()), _ZERO)
+        for entries, constant in forms
+    )
+
+
 def value_ns(
     game: Game,
     *,
@@ -302,37 +347,19 @@ def value_ns(
 ) -> ValueResult:
     """Exact NS value and an optimal no-signalling witness."""
     _check_cap(game, table_cap, "value_ns")
-    last = tuple(s - 1 for s in game.output_alphabets)
     group = _fixing_last_outputs(_group_perms(game, rounds, use_symmetry), game.output_alphabets)
-    n_x, n_a = game.n_inputs, game.n_outputs
-    orbit_of, n_orbits = _pair_orbits(n_x, n_a, group)
-    masks = range(1, 2**game.players)
-    _, var_of, n_vars = _subset_orbits(game, group, masks, last)
+    orbit_of, n_orbits = _pair_orbits(game.n_inputs, game.n_outputs, group)
+    first: dict[int, int] = {}  # orbit -> its first P-table index
+    for idx, orbit in enumerate(orbit_of):
+        first.setdefault(orbit, idx)
+    n_vars, forms = _ns_forms(game.input_alphabets, game.output_alphabets, group, first.values())
 
-    # one P(a|x) >= 0 row per orbit of (x, a), written as -L(v) <= constant
-    weights = _objective(game, orbit_of, n_orbits, 0)
+    # one P(a|x) >= 0 row per orbit of (x, a)
+    rows = _QuotientRows()
+    _ns_nonnegativity(rows, forms)
     objective = [_ZERO] * n_vars
     offset = _ZERO
-    entries_of: list[tuple[dict[int, int], int]] = []
-    rows = _QuotientRows()
-    for idx in range(n_x * n_a):
-        if orbit_of[idx] < len(entries_of):
-            continue
-        x, a = divmod(idx, n_a)
-        entries: dict[int, int] = {}
-        constant = 0
-        x_tup = mr.decode(x, game.input_alphabets)
-        a_tup = mr.decode(a, game.output_alphabets)
-        for mask, x_i, a_i, sign in _cg_terms(x_tup, a_tup, game.input_alphabets, last):
-            if mask:
-                var = var_of[(mask, x_i, a_i)]
-                entries[var] = entries.get(var, 0) + sign
-            else:
-                constant += sign
-        entries_of.append((entries, constant))
-        if any(c < 0 for c in entries.values()):  # otherwise v >= 0 implies the row
-            rows.add({var: Fraction(-c) for var, c in entries.items()}, "<=", Fraction(constant))
-        weight = weights[orbit_of[idx]]
+    for weight, (entries, constant) in zip(_objective(game, orbit_of, n_orbits, 0), forms):
         if weight:
             offset += weight * constant
             for var, c in entries.items():
@@ -344,11 +371,7 @@ def value_ns(
         point, value = solution.witness, solution.value + offset
     else:  # every player has one output: the deterministic point is the polytope
         point, value = (), offset
-    pair_values = tuple(
-        constant + sum((c * point[var] for var, c in entries.items()), _ZERO)
-        for entries, constant in entries_of
-    )
-    strategy = _expand_witness(pair_values, orbit_of, game)
+    strategy = _expand_witness(_ns_point(point, forms), orbit_of, game)
     return _verified(MODEL_NS, value, game, strategy)
 
 
@@ -368,7 +391,9 @@ def value_snos(
 
     # dominator variables M_I(a_I, x_I), orbit-reduced like the P table
     masks = [subset.mask() for subset in strict_subsets(game.players, include_empty=False)]
-    mask_info, m_orbit_of, n_m_orbits = _subset_orbits(game, group, masks, game.output_alphabets)
+    mask_info, m_orbit_of, n_m_orbits = _subset_orbits(
+        game.input_alphabets, group, masks, game.output_alphabets
+    )
 
     def m_var(mask: int, x_i: int, a_i: int) -> int:
         return n_orbits + m_orbit_of[(mask, x_i, a_i)]

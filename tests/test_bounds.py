@@ -13,6 +13,7 @@ from nsgames import (
     c_ell,
     definetti_prefactor,
     dominates,
+    random_game,
     repeat_game,
     split_bound,
     split_epsilon_concentration,
@@ -22,6 +23,7 @@ from nsgames import (
     verify_domination,
     verify_sandwich,
 )
+from nsgames import bounds
 
 F = Fraction
 
@@ -179,3 +181,27 @@ def test_domination_skips_full_support_bound_without_support(a3):
     reports = verify_domination(a3, 2, gamma=1.0)
     assert {r.name for r in reports} == {"snos-repetition"}
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("model", ["ns", "snos"])
+def test_domination_reuses_the_sandwich_values(monkeypatch, model):
+    game = random_game(300, 2, (2, 2), (2, 2), full_support=True, predicate_density=0.4)
+    sandwich = verify_sandwich(game, 2, model)
+    fresh = verify_domination(game, 2, gamma=0.0)
+    solved = []
+    real = bounds._value
+
+    def spy(which, played, rounds=1):
+        solved.append(which)
+        return real(which, played, rounds)
+
+    monkeypatch.setattr(bounds, "_value", spy)
+    assert verify_domination(game, 2, gamma=0.0, sandwich=sandwich) == fresh
+    other = "snos" if model == "ns" else "ns"
+    assert solved == [other, other]  # the single and the repeated LP of the other model
+
+
+def test_domination_rejects_a_sandwich_for_other_rounds(chsh):
+    sandwich = verify_sandwich(chsh, 2, "snos")
+    with pytest.raises(DomainError):
+        verify_domination(chsh, 3, sandwich=sandwich)

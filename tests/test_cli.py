@@ -274,6 +274,17 @@ def test_exit_code_resource_error(capsys, chsh_file):
     assert "cap" in err
 
 
+def test_symmetry_group_cap_exits_3(capsys, monkeypatch, tmp_path):
+    game = {"players": 1, "inputs": [1], "outputs": [2], "distribution": ["1"], "predicate": [1, 0]}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(game))
+    monkeypatch.setattr("nsgames._symmetry._GROUP_CAP", 5)  # 4 rounds permute in 24 ways
+    code, out, err = run(capsys, "value", str(path), "--model", "ns", "--repeat", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_reports_byte_stable(capsys, a3_file):
     _, first, _ = run(capsys, "value", a3_file, "--model", "classical")
     _, second, _ = run(capsys, "value", a3_file, "--model", "classical")

@@ -14,15 +14,20 @@ from nsgames import (
     UnsupportedError,
     bump_up,
     coupling_adjust,
+    LpProblem,
     is_ns,
     is_snos,
+    lp_solve,
     maximal_coupling,
     nearest_ns,
     reconstruct_multi_marginal,
     reconstruct_snos,
+    singles_complement_subsets,
     strict_subsets,
     trace_distance,
 )
+from nsgames import values
+from nsgames._mixedradix import project, table_size
 from nsgames.polytopes import NS_MODE_ALL
 from nsgames.repair import _subset_certificate_distance
 
@@ -344,15 +349,18 @@ def test_nearest_ns_of_ns_is_zero(pr):
     assert is_ns(witness, NS_MODE_ALL).member
 
 
-def test_nearest_ns_of_signalling_box_is_positive():
+def _signalling_box() -> Correlation:
     dens = []
     for x in range(4):
         y1, y2 = divmod(x, 2)
         for a in range(4):
             a1, a2 = divmod(a, 2)
             dens.append(F(1) if (a1 == y2 and a2 == y1) else F(0))
-    box = Correlation((2, 2), (2, 2), tuple(dens))
-    witness, distance = nearest_ns((F(1, 4),) * 4, box)
+    return Correlation((2, 2), (2, 2), tuple(dens))
+
+
+def test_nearest_ns_of_signalling_box_is_positive():
+    witness, distance = nearest_ns((F(1, 4),) * 4, _signalling_box())
     assert distance > 0
     assert is_ns(witness, NS_MODE_ALL).member
 
@@ -370,3 +378,91 @@ def test_nearest_ns_requires_normalization():
     corr = random_correlation(rng, (2, 2), (2, 2), scale=F(1, 3))
     with pytest.raises(DomainError):
         nearest_ns((F(1, 4),) * 4, corr)
+
+
+def _equality_form_distance(target, conditional: Correlation) -> Fraction:
+    """The projection distance from the LP over the full P'' table: per-input
+    normalization, the singleton-complement marginal equalities, and
+    u >= |T (P'' - P')| with objective (1/2) sum u."""
+    n_x, n_a = conditional.n_inputs, conditional.n_outputs
+    n_p = n_x * n_a
+    rows = []
+    for x in range(n_x):
+        coeffs = [F(0)] * (2 * n_p)
+        coeffs[x * n_a : (x + 1) * n_a] = [F(1)] * n_a
+        rows.append((tuple(coeffs), "=", F(1)))
+    for subset in singles_complement_subsets(conditional.players):
+        members = subset.members
+        x_proj = project(conditional.input_alphabets, members)
+        a_proj = project(conditional.output_alphabets, members)
+        first: dict[int, int] = {}
+        for x in range(n_x):
+            ref = first.setdefault(x_proj[x], x)
+            if ref == x:
+                continue
+            for a_i in set(a_proj):
+                coeffs = [F(0)] * (2 * n_p)
+                for a in range(n_a):
+                    if a_proj[a] == a_i:
+                        coeffs[x * n_a + a] += 1
+                        coeffs[ref * n_a + a] -= 1
+                rows.append((tuple(coeffs), "=", F(0)))
+    for idx in range(n_p):
+        t = target[idx // n_a]
+        rhs = t * conditional.densities[idx]
+        for sign in (1, -1):
+            coeffs = [F(0)] * (2 * n_p)
+            coeffs[idx] = sign * t
+            coeffs[n_p + idx] = F(-1)
+            rows.append((tuple(coeffs), "<=", sign * rhs))
+    objective = (F(0),) * n_p + (F(1, 2),) * n_p
+    return lp_solve(LpProblem(objective, tuple(rows), maximize=False)).value
+
+
+def _normalized_correlation(rng, inputs, outputs) -> Correlation:
+    n_x, n_a = table_size(inputs), table_size(outputs)
+    dens = tuple(p for _ in range(n_x) for p in rand_dist(rng, n_a, 8))
+    return Correlation(tuple(inputs), tuple(outputs), dens)
+
+
+def _projection_cases():
+    rng = random.Random(181)
+    return {
+        "signalling-box": ((F(1, 4),) * 4, _signalling_box()),
+        "ragged": (rand_dist(rng, 6), _normalized_correlation(rng, (3, 2), (2, 3))),
+        "three-player": (rand_dist(rng, 8), _normalized_correlation(rng, (2, 2, 2), (2, 2, 2))),
+        "zero-weight-input": (
+            (F(0), F(1, 2), F(1, 4), F(1, 4)),
+            _normalized_correlation(rng, (2, 2), (2, 2)),
+        ),
+        "one-output-player": (rand_dist(rng, 4), _normalized_correlation(rng, (2, 2), (1, 3))),
+        "one-output-players": (rand_dist(rng, 6), _normalized_correlation(rng, (2, 3), (1, 1))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_projection_cases()))
+def test_nearest_ns_matches_equality_form_lp(case):
+    target, conditional = _projection_cases()[case]
+    witness, distance = nearest_ns(target, conditional)
+    assert distance == _equality_form_distance(target, conditional)
+    assert is_ns(witness, NS_MODE_ALL).member
+    n_a = conditional.n_outputs
+
+    def weighted(corr):
+        return [target[i // n_a] * p for i, p in enumerate(corr.densities)]
+
+    assert trace_distance(weighted(witness), weighted(conditional)) == distance
+
+
+def test_nearest_ns_lp_has_no_equality_rows(monkeypatch):
+    captured = []
+
+    def spy(problem, **options):
+        captured.append(problem)
+        return lp_solve(problem, **options)
+
+    monkeypatch.setattr(values, "lp_solve", spy)
+    target, conditional = _projection_cases()["three-player"]
+    nearest_ns(target, conditional)
+    (problem,) = captured
+    assert all(relation != "=" for _, relation, _ in problem.constraints)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgames import (
     ShapeError,
@@ -26,8 +28,14 @@ from nsgames import (
     winning_probability,
 )
 from nsgames import values
-from nsgames._mixedradix import decode
-from nsgames._symmetry import Symmetry, player_permutation_candidates, preserves_game
+from nsgames._mixedradix import decode, encode, project, table_size
+from nsgames._symmetry import (
+    Symmetry,
+    player_permutation_candidates,
+    preserves_game,
+    round_permutation_candidates,
+    symmetry_group,
+)
 from nsgames.polytopes import NS_MODE_ALL
 
 F = Fraction
@@ -217,6 +225,68 @@ def test_values_invariant_under_player_relabelling(sigma):
         assert winning_probability(permuted, image) == result.value
 
 
+# --- invariance under alphabet relabelling --------------------------------------------
+
+
+def _symbol_map(sizes: tuple[int, ...], player: int, perm: tuple[int, ...]) -> list[int]:
+    """Joint-index image of every index when `player`'s symbol v becomes perm[v]."""
+    out = []
+    for idx in range(table_size(sizes)):
+        tup = list(decode(idx, sizes))
+        tup[player] = perm[tup[player]]
+        out.append(encode(tuple(tup), sizes))
+    return out
+
+
+@st.composite
+def _alphabet_relabellings(draw):
+    players = draw(st.sampled_from([2, 3]))
+    top = 3 if players == 2 else 2
+    inputs = tuple(draw(st.integers(1, top)) for _ in range(players))
+    outputs = tuple(draw(st.integers(1, top)) for _ in range(players))
+    game = random_game(draw(st.integers(0, 10**6)), players, inputs, outputs)
+    player = draw(st.integers(0, players - 1))
+    in_perm = tuple(draw(st.permutations(range(inputs[player]))))
+    out_perm = tuple(draw(st.permutations(range(outputs[player]))))
+    if draw(st.booleans()):  # rotate so that the last output symbol moves
+        out_perm = out_perm[1:] + out_perm[:1]
+    return game, player, in_perm, out_perm
+
+
+@settings(max_examples=25, deadline=None)
+@given(_alphabet_relabellings())
+def test_values_invariant_under_alphabet_relabelling(case):
+    """Relabelling one player's inputs and outputs changes no value, and the
+    relabelled witness is a member winning the relabelled game at that value."""
+    game, player, in_perm, out_perm = case
+    x_map = _symbol_map(game.input_alphabets, player, in_perm)
+    a_map = _symbol_map(game.output_alphabets, player, out_perm)
+    n_a = game.n_outputs
+    distribution = [F(0)] * game.n_inputs
+    predicate = [0] * len(game.predicate)
+    for x in range(game.n_inputs):
+        distribution[x_map[x]] = game.distribution[x]
+        for a in range(n_a):
+            predicate[x_map[x] * n_a + a_map[a]] = game.predicate[x * n_a + a]
+    relabelled = Game(
+        game.input_alphabets, game.output_alphabets, tuple(distribution), tuple(predicate)
+    )
+    for solve, member in (
+        (value_ns, lambda c: is_ns(c, NS_MODE_ALL)),
+        (value_snos, is_snos),
+        (value_classical, lambda c: is_ns(c, NS_MODE_ALL)),
+    ):
+        result = solve(game)
+        assert solve(relabelled).value == result.value
+        densities = [F(0)] * len(result.strategy.densities)
+        for x in range(game.n_inputs):
+            for a in range(n_a):
+                densities[x_map[x] * n_a + a_map[a]] = result.strategy.densities[x * n_a + a]
+        image = Correlation(game.input_alphabets, game.output_alphabets, tuple(densities))
+        assert member(image).member
+        assert winning_probability(relabelled, image) == result.value
+
+
 # --- Collins-Gisin NS LP against the dense equality-form LP --------------------------
 
 
@@ -314,3 +384,18 @@ def test_symmetry_moving_a_last_output_is_left_out(monkeypatch, chsh):
     monkeypatch.undo()
     without_flip = _captured_ns_problems(monkeypatch, chsh)
     assert with_flip[0].n_vars == without_flip[0].n_vars
+
+
+@pytest.mark.parametrize("rounds", [2, 3])
+def test_round_transpositions_generate_every_round_permutation(chsh, rounds):
+    every = [
+        Symmetry((0, 1), (project((2,) * rounds, rho),) * 2, (project((2,) * rounds, rho),) * 2)
+        for rho in itertools.permutations(range(rounds))
+        if rho != tuple(range(rounds))
+    ]
+    adjacent = round_permutation_candidates((2, 2), (2, 2), rounds)
+    assert len(adjacent) == rounds - 1
+    for game in (repeat_game(chsh, rounds), threshold_game(chsh, 1, rounds)):
+        group = symmetry_group(game, adjacent)
+        assert len(group) == len(every) + 1
+        assert group == symmetry_group(game, every)
