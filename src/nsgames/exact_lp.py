@@ -1,10 +1,29 @@
 """Exact-rational linear programming by two-phase tableau simplex.
 
-The solver never touches floating point: every tableau entry is an exact
-rational, so optima such as 2/3 are reproduced literally rather than to a
-tolerance.  Internally the tableau uses ``gmpy2.mpq`` when available (a
-drop-in exact replacement roughly 4x faster than ``fractions.Fraction``);
-results are converted back to `Fraction` at the API boundary either way.
+The solver never touches floating point: every answer is an exact rational,
+so optima such as 2/3 are reproduced literally rather than to a tolerance.
+
+Integer rows
+------------
+`LpProblem` keeps its public fields dense and in `Fraction`, and records in
+the same pass the nonzeros of each row as integers over the row's common
+denominator.  The tableau is built from those nonzeros and holds only Python
+ints.  A tableau row ``R`` maps its nonzero columns, and its right-hand side,
+to ints; it stands for the rational row ``R / R[basis[i]]``, so the entry in
+the row's basic column is the row's positive denominator.  A pivot on entry
+``p > 0`` of row ``P`` replaces every other row by ``R * p - R[c] * P``
+divided by the gcd of its entries (a negative pivot entry, met when an
+artificial is driven out, negates ``P`` first).  No entry is ever a rational
+and no gcd is taken per entry (Edmonds, J. Res. NBS 71B, 1967).  The
+reduced-cost row is kept the same way: ints over one positive denominator,
+which no decision needs.
+
+Every pivot decision compares the same rationals a `Fraction` tableau
+would: a reduced cost's sign is the sign of its int, and the ratio test and
+the lexicographic tie-break compare quotients of two entries of one row, in
+which the row's scale cancels, by cross-multiplication.  So bases, values
+and witnesses equal those of a `Fraction` tableau with the same pivot rules,
+bit for bit; ``tests/_reference_lp.py`` keeps one as the oracle.
 
 Pivoting and anti-cycling
 -------------------------
@@ -21,19 +40,21 @@ lowest index), so identical problems yield bit-for-bit identical solutions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Literal
 
 from .errors import DomainError, ShapeError
 
-try:  # fast exact backend; Fraction semantics either way
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-
 Relation = Literal["<=", "=", ">="]
 _RELATIONS = ("<=", "=", ">=")
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+# a row's nonzeros as integers over its common denominator `scale`:
+# (columns, coefficients * scale, relation, bound * scale, scale)
+_SparseRow = tuple[tuple[int, ...], tuple[int, ...], str, int, int]
 
 
 @dataclass(frozen=True)
@@ -41,30 +62,41 @@ class LpProblem:
     """max/min  c.x  subject to rows (coeffs, relation, bound), x_j >= 0 flags.
 
     `nonnegative[j]` marks variable j as sign-constrained; free variables are
-    handled by an internal positive/negative split.
+    handled by an internal positive/negative split.  Coefficients may be
+    given as ints, ``"p/q"`` strings or Fractions; they are stored as
+    Fractions.
     """
 
     objective: tuple[Fraction, ...]
     constraints: tuple[tuple[tuple[Fraction, ...], Relation, Fraction], ...]
     maximize: bool = True
     nonnegative: tuple[bool, ...] | None = None
+    _rows: tuple[_SparseRow, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", tuple(Fraction(c) for c in self.objective))
+        object.__setattr__(self, "objective", _fractions(self.objective))
         n = len(self.objective)
         if n == 0:
             raise ShapeError("LP needs at least one variable")
-        rows = []
+        rows, sparse = [], []
         for pos, (coeffs, relation, bound) in enumerate(self.constraints):
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = _fractions(coeffs)
             if len(coeffs) != n:
                 raise ShapeError(
                     f"constraint {pos} has {len(coeffs)} coefficients, expected {n}"
                 )
             if relation not in _RELATIONS:
                 raise DomainError(f"constraint {pos}: unknown relation {relation!r}")
-            rows.append((coeffs, relation, Fraction(bound)))
+            bound = bound if type(bound) is Fraction else Fraction(bound)
+            rows.append((coeffs, relation, bound))
+            cols = tuple(compress(range(n), coeffs))
+            nonzeros = [coeffs[j] for j in cols]
+            scale = lcm(bound.denominator, *(c.denominator for c in nonzeros))
+            ints = tuple(c.numerator * (scale // c.denominator) for c in nonzeros)
+            scaled_bound = bound.numerator * (scale // bound.denominator)
+            sparse.append((cols, ints, relation, scaled_bound, scale))
         object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "_rows", tuple(sparse))
         flags = self.nonnegative if self.nonnegative is not None else (True,) * n
         flags = tuple(bool(f) for f in flags)
         if len(flags) != n:
@@ -74,6 +106,14 @@ class LpProblem:
     @property
     def n_vars(self) -> int:
         return len(self.objective)
+
+
+def _fractions(values: Sequence) -> tuple[Fraction, ...]:
+    """The values as a tuple of Fractions, keeping those that already are."""
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in values)
 
 
 @dataclass(frozen=True)
@@ -119,8 +159,16 @@ def objective_value(problem: LpProblem, point: Sequence[Fraction]) -> Fraction:
     return sum((c * x for c, x in zip(problem.objective, point)), Fraction(0))
 
 
+_RHS = -1  # the key of a tableau row's right-hand side
+
+
 class _Tableau:
-    """Dense standard-form tableau  min c.x, Ax = b, x >= 0."""
+    """Standard-form tableau  min c.x, Ax = b, x >= 0  over sparse integer rows.
+
+    `matrix[i]` maps each column where row i is nonzero, and `_RHS`, to an
+    int; it stands for the rational row ``matrix[i] / matrix[i][basis[i]]``
+    (see the module docstring).  The reduced costs are kept the same way.
+    """
 
     def __init__(self, problem: LpProblem, pivoting: str) -> None:
         if pivoting not in ("dantzig-lex", "bland"):
@@ -143,71 +191,56 @@ class _Tableau:
             else:
                 self.var_cols.append((cols, cols + 1))
                 cols += 2
-        self.n_split = cols
 
-        rows: list[list] = []
-        rhs: list = []
-        relations: list[str] = []
+        # min (sign c).x, scaled to integers by a positive common denominator
         sign = -1 if prob.maximize else 1
-        self.cost = [_mpq(sign * c.numerator, c.denominator) for c in prob.objective]
-
-        for coeffs, relation, bound in prob.constraints:
-            row = [_mpq(0)] * cols
-            for j, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                pos, neg = self.var_cols[j]
-                q = _mpq(c.numerator, c.denominator)
-                row[pos] = q
+        scale = lcm(*(c.denominator for c in prob.objective))
+        self.cost: dict[int, int] = {}
+        for (pos, neg), c in zip(self.var_cols, prob.objective):
+            if c:
+                v = sign * c.numerator * (scale // c.denominator)
+                self.cost[pos] = v
                 if neg is not None:
-                    row[neg] = -q
-            b = _mpq(bound.numerator, bound.denominator)
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-                relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-            rows.append(row)
-            rhs.append(b)
-            relations.append(relation)
+                    self.cost[neg] = -v
 
-        # slack/surplus columns (row order), then artificials for rows whose
-        # start column cannot serve as an initial basis (>= and = rows)
-        m = len(rows)
+        # a negative right-hand side flips its row; then slack/surplus columns
+        # (row order), then artificials for rows whose start column cannot
+        # serve as an initial basis (>= and = rows)
+        m = len(prob._rows)
         self.m = m
-        slack_cols: list[int | None] = [None] * m
-        surplus_cols: list[int | None] = [None] * m
-        for i, relation in enumerate(relations):
-            if relation == "<=":
-                slack_cols[i] = cols
-                cols += 1
-            elif relation == ">=":
-                surplus_cols[i] = cols
-                cols += 1
-        artificial_start = cols
-        art_rows = [i for i, relation in enumerate(relations) if relation != "<="]
-        width = artificial_start + len(art_rows)
-
-        matrix: list[list] = []
+        matrix: list[dict[int, int]] = []
         basis: list[int] = [0] * m
-        for i in range(m):
-            full = rows[i] + [_mpq(0)] * (width - self.n_split)
-            if slack_cols[i] is not None:
-                full[slack_cols[i]] = _mpq(1)
-                basis[i] = slack_cols[i]
-            if surplus_cols[i] is not None:
-                full[surplus_cols[i]] = _mpq(-1)
-            matrix.append(full)
-        for offset, i in enumerate(art_rows):
-            col = artificial_start + offset
-            matrix[i][col] = _mpq(1)
-            basis[i] = col
+        art_rows: list[int] = []
+        for i, (nz_cols, ints, relation, bound, scale) in enumerate(prob._rows):
+            flip = 1
+            if bound < 0:
+                flip, relation = -1, _FLIP[relation]
+            row = {_RHS: flip * bound} if bound else {}
+            for j, v in zip(nz_cols, ints):
+                pos, neg = self.var_cols[j]
+                row[pos] = flip * v
+                if neg is not None:
+                    row[neg] = -flip * v
+            if relation == "<=":
+                row[cols] = scale
+                basis[i] = cols
+            elif relation == ">=":
+                row[cols] = -scale
+            if relation != "=":
+                cols += 1
+            if relation != "<=":
+                art_rows.append(i)
+            matrix.append(row)
+        self.artificial_start = cols
+        for i in art_rows:
+            matrix[i][cols] = prob._rows[i][4]
+            basis[i] = cols
+            cols += 1
 
-        self.width = width
+        self.width = cols
         self.matrix = matrix
-        self.rhs = rhs
         self.basis = basis
-        self.artificial_start = artificial_start
-        self.n_structural = artificial_start  # columns eligible in phase 2
+        self.n_structural = self.artificial_start  # columns eligible in phase 2
 
     # -- simplex core ------------------------------------------------------
 
@@ -225,144 +258,115 @@ class _Tableau:
             status="optimal", value=objective_value(self.problem, witness), witness=witness
         )
 
-    def _reduced_costs(self, cost: list) -> list:
-        red = list(cost) + [_mpq(0)] * (self.width - len(cost))
+    def _reduced_costs(self, cost: dict[int, int]) -> dict[int, int]:
+        red = dict(cost)
         for i in range(self.m):
-            cb = red[self.basis[i]]
-            if cb != 0:
-                row = self.matrix[i]
-                red = [r - cb * v for r, v in zip(red, row)]
+            if self.basis[i] in red:
+                red = _eliminate(red, self.basis[i], self.matrix[i])
         return red
 
     def _run_phase(self, phase: int) -> bool | str:
         if phase == 1:
-            cost = [_mpq(0)] * self.artificial_start + [_mpq(1)] * (
-                self.width - self.artificial_start
-            )
+            cost = dict.fromkeys(range(self.artificial_start, self.width), 1)
             limit = self.width
         else:
-            cost = list(self.cost)
+            cost = self.cost
             limit = self.n_structural
         red = self._reduced_costs(cost)
         # fixed column order for lexicographic comparisons: current basis
         # columns (identity block) first; rows start lex-positive in it
         in_basis = set(self.basis)
         lex_order = list(self.basis) + [j for j in range(self.width) if j not in in_basis]
+        lex_pos = {col: pos for pos, col in enumerate(lex_order)}
 
         while True:
             enter = self._choose_entering(red, limit)
             if enter is None:
                 break
-            leave = self._choose_leaving(enter, lex_order)
+            leave = self._choose_leaving(enter, lex_pos)
             if leave is None:
                 if phase == 1:  # phase-1 objective is bounded below by 0
                     raise AssertionError("phase 1 cannot be unbounded")
                 return "unbounded"
-            self._pivot(leave, enter, red)
+            red = self._pivot(leave, enter, red)
         if phase == 1:
-            total = _mpq(0)
-            for i in range(self.m):
-                if self.basis[i] >= self.artificial_start:
-                    total += self.rhs[i]
-            return total == 0
+            return not any(
+                self.matrix[i].get(_RHS)
+                for i in range(self.m)
+                if self.basis[i] >= self.artificial_start
+            )
         return "optimal"
 
-    def _choose_entering(self, red: list, limit: int) -> int | None:
+    def _choose_entering(self, red: dict[int, int], limit: int) -> int | None:
+        negative = [j for j, v in red.items() if v < 0 and 0 <= j < limit]
+        if not negative:
+            return None
         if self.bland:
-            for j in range(limit):
-                if red[j] < 0:
-                    return j
-            return None
-        best = None
-        best_val = 0
-        for j in range(limit):
-            v = red[j]
-            if v < best_val:
-                best_val = v
-                best = j
-        return best
+            return min(negative)
+        return min(negative, key=lambda j: (red[j], j))  # the first most negative
 
-    def _choose_leaving(self, enter: int, lex_order: list[int]) -> int | None:
-        matrix, rhs = self.matrix, self.rhs
+    def _choose_leaving(self, enter: int, lex_pos: dict[int, int]) -> int | None:
+        # the ratio rhs/coeff of a row does not depend on the row's scale
         candidates: list[int] = []
-        best_ratio = None
-        for i in range(self.m):
-            coeff = matrix[i][enter]
+        best_rhs = best_coeff = 0
+        for i, row in enumerate(self.matrix):
+            coeff = row.get(enter, 0)
             if coeff > 0:
-                ratio = rhs[i] / coeff
-                if best_ratio is None or ratio < best_ratio:
-                    best_ratio = ratio
-                    candidates = [i]
-                elif ratio == best_ratio:
+                rhs = row.get(_RHS, 0)
+                if not candidates or rhs * best_coeff < best_rhs * coeff:
+                    best_rhs, best_coeff, candidates = rhs, coeff, [i]
+                elif rhs * best_coeff == best_rhs * coeff:
                     candidates.append(i)
-        if best_ratio is None:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
+        if len(candidates) <= 1:
+            return candidates[0] if candidates else None
         if self.bland:
             return min(candidates, key=lambda i: self.basis[i])
-        # lexicographic tie-break over the fixed column order
-        best = candidates[0]
-        best_row, best_coeff = matrix[best], matrix[best][enter]
-        for i in candidates[1:]:
-            row, coeff = matrix[i], matrix[i][enter]
-            for col in lex_order:
-                lhs = row[col] * best_coeff  # compare row/coeff vs best_row/best_coeff
-                rhs_v = best_row[col] * coeff
-                if lhs != rhs_v:
-                    if lhs < rhs_v:
-                        best, best_row, best_coeff = i, row, coeff
-                    break
-        return best
+        # lexicographic tie-break: the least row/coeff in the fixed column
+        # order.  Column by column keep the candidates whose entry/coeff is
+        # least; columns where every candidate is zero keep them all, so only
+        # the candidates' joint support is scanned
+        tied = [(i, self.matrix[i], self.matrix[i][enter]) for i in candidates]
+        support = set().union(*(row.keys() for _, row, _ in tied))
+        support.discard(_RHS)
+        for col in sorted(support, key=lex_pos.__getitem__):
+            least, least_coeff = tied[0][1].get(col, 0), tied[0][2]
+            for _, row, coeff in tied[1:]:
+                entry = row.get(col, 0)
+                if entry * least_coeff < least * coeff:
+                    least, least_coeff = entry, coeff
+            tied = [t for t in tied if t[1].get(col, 0) * least_coeff == least * t[2]]
+            if len(tied) == 1:
+                break
+        return tied[0][0]
 
-    def _pivot(self, row: int, col: int, red: list) -> None:
-        matrix, rhs = self.matrix, self.rhs
+    def _pivot(self, row: int, col: int, red: dict[int, int] | None) -> dict[int, int] | None:
+        """Pivot on (row, col); returns the updated reduced costs."""
+        matrix = self.matrix
         prow = matrix[row]
-        pivot = prow[col]
-        if pivot != 1:
-            inv = 1 / pivot
-            prow = [v * inv for v in prow]
-            matrix[row] = prow
-            rhs[row] = rhs[row] * inv
-        prhs = rhs[row]
-        nz = [j for j, v in enumerate(prow) if v]
-        dense = len(nz) * 2 >= len(prow)
-        for i in range(self.m):
-            if i == row:
-                continue
-            factor = matrix[i][col]
-            if factor:
-                target = matrix[i]
-                if dense:
-                    matrix[i] = [a - factor * b for a, b in zip(target, prow)]
-                else:
-                    for j in nz:
-                        target[j] -= factor * prow[j]
-                if prhs:
-                    rhs[i] -= factor * prhs
-        factor = red[col]
-        if factor:
-            for j in nz:
-                red[j] -= factor * prow[j]
+        if prow[col] < 0:  # the new denominator must be positive
+            prow = matrix[row] = {k: -v for k, v in prow.items()}
+        for i, target in enumerate(matrix):
+            if col in target and i != row:
+                matrix[i] = _eliminate(target, col, prow)
         self.basis[row] = col
+        if red is not None and col in red:
+            red = _eliminate(red, col, prow)
+        return red
 
     def _drive_out_artificials(self) -> None:
         """Pivot zero-valued artificials out of the basis; drop redundant rows."""
         keep: list[int] = []
-        zeros = [_mpq(0)] * self.width
         for i in range(self.m):
             if self.basis[i] < self.artificial_start:
                 keep.append(i)
                 continue
-            prow = self.matrix[i]
-            target = next((j for j in range(self.n_structural) if prow[j] != 0), None)
-            if target is None:
+            structural = [j for j in self.matrix[i] if 0 <= j < self.n_structural]
+            if not structural:
                 continue  # redundant constraint: drop the row
-            self._pivot(i, target, zeros)
+            self._pivot(i, min(structural), None)
             keep.append(i)
         if len(keep) != self.m:
             self.matrix = [self.matrix[i] for i in keep]
-            self.rhs = [self.rhs[i] for i in keep]
             self.basis = [self.basis[i] for i in keep]
             self.m = len(keep)
 
@@ -370,15 +374,33 @@ class _Tableau:
         start = self.artificial_start
         if start == self.width:
             return
-        self.matrix = [row[:start] for row in self.matrix]
+        self.matrix = [{k: v for k, v in row.items() if k < start} for row in self.matrix]
         self.width = start
 
     def _extract_witness(self) -> tuple[Fraction, ...]:
-        values = [_mpq(0)] * self.width
-        for i in range(self.m):
-            values[self.basis[i]] = self.rhs[i]
-        out = []
-        for pos, neg in self.var_cols:
-            v = values[pos] - (values[neg] if neg is not None else 0)
-            out.append(Fraction(int(v.numerator), int(v.denominator)))
-        return tuple(out)
+        values = [Fraction(0)] * self.width
+        for row, col in zip(self.matrix, self.basis):
+            values[col] = Fraction(row.get(_RHS, 0), row[col])
+        return tuple(
+            values[pos] if neg is None else values[pos] - values[neg]
+            for pos, neg in self.var_cols
+        )
+
+
+def _eliminate(target: dict[int, int], col: int, prow: dict[int, int]) -> dict[int, int]:
+    """target * p - target[col] * prow for the pivot p = prow[col] > 0, as a
+    primitive vector (the factors' gcd is taken out first)."""
+    pivot, factor = prow[col], target[col]
+    g = gcd(factor, pivot)
+    factor //= g
+    scale = pivot // g
+    if scale != 1:
+        target = {k: v * scale for k, v in target.items()}
+    for j, v in prow.items():
+        new = target.get(j, 0) - factor * v
+        if new:
+            target[j] = new
+        else:
+            del target[j]
+    g = gcd(*target.values())
+    return target if g <= 1 else {k: v // g for k, v in target.items()}
