@@ -1,4 +1,5 @@
-"""Symmetries of a game and orbit maps for symmetry-reduced LP assembly.
+"""Symmetries of a game and their action on table indices, for
+symmetry-reduced LP assembly.
 
 A symmetry simultaneously relabels players and permutes each player's
 alphabets so that the query distribution and predicate are left invariant.
@@ -9,7 +10,10 @@ games (round permutations) and for player-symmetric games.
 
 Every candidate symmetry handed to `symmetry_group` is *checked exactly*
 against (T, V) before being used, so callers can pass optimistic candidates:
-an invalid one is simply rejected.
+an invalid one is simply rejected.  The group itself is never enumerated:
+the verified candidates are its generators, and an orbit under a finite
+group is a connected component under its generators, so one flood fill over
+the generators finds every orbit.
 """
 
 from __future__ import annotations
@@ -19,11 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import _mixedradix as mr
-from .errors import ResourceLimitError
 from .game_model import Game
-
-#: cap on the closure computation; a larger group raises ResourceLimitError
-_GROUP_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -35,59 +35,44 @@ class Symmetry:
     input_perms: tuple[tuple[int, ...], ...]
     output_perms: tuple[tuple[int, ...], ...]
 
-    def key(self) -> tuple:
-        return (self.player_perm, self.input_perms, self.output_perms)
-
-
-def identity_symmetry(inputs: Sequence[int], outputs: Sequence[int]) -> Symmetry:
-    return Symmetry(
-        tuple(range(len(inputs))),
-        tuple(tuple(range(s)) for s in inputs),
-        tuple(tuple(range(s)) for s in outputs),
-    )
-
-
-def compose(second: Symmetry, first: Symmetry) -> Symmetry:
-    """The symmetry applying `first`, then `second`."""
-    players = len(first.player_perm)
-    sigma = tuple(second.player_perm[first.player_perm[i]] for i in range(players))
-    in_perms = []
-    out_perms = []
-    for i in range(players):
-        j = first.player_perm[i]
-        in_perms.append(tuple(second.input_perms[j][v] for v in first.input_perms[i]))
-        out_perms.append(tuple(second.output_perms[j][v] for v in first.output_perms[i]))
-    return Symmetry(sigma, tuple(in_perms), tuple(out_perms))
-
 
 def index_action(
-    sym: Symmetry, sizes: tuple[int, ...], perms: tuple[tuple[int, ...], ...]
-) -> list[int]:
-    """Permutation of joint mixed-radix indices induced by the symmetry."""
-    players = len(sizes)
+    sym: Symmetry,
+    members: Sequence[int],
+    sizes: Sequence[int],
+    perms: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], list[int]]:
+    """Where the symmetry sends each joint index over the members' symbols.
+
+    Player i has `sizes[i]` symbols, relabelled by `perms[i]`; joint indices
+    list the members in increasing order, the last fastest.  Returns the
+    image members, sorted, and the image of every joint index as a joint
+    index over them.  The symmetry must map each member's symbol range onto
+    its image player's.
+    """
     sigma = sym.player_perm
-    new_sizes = [0] * players
-    for i in range(players):
-        new_sizes[sigma[i]] = sizes[i]
-    if tuple(new_sizes) != tuple(sizes):
-        raise ValueError("symmetry does not preserve the alphabet layout")
-    out = []
-    for idx in range(mr.table_size(sizes)):
-        tup = mr.decode(idx, sizes)
-        new_tup = [0] * players
-        for i in range(players):
-            new_tup[sigma[i]] = perms[i][tup[i]]
-        out.append(mr.encode(tuple(new_tup), sizes))
-    return out
+    image = tuple(sorted(sigma[i] for i in members))
+    weight = {}
+    stride = 1
+    for j in reversed(image):
+        weight[j] = stride
+        stride *= sizes[j]
+    out = [0]
+    for i in members:
+        w, perm = weight[sigma[i]], perms[i]
+        out = [base + perm[digit] * w for base in out for digit in range(sizes[i])]
+    return image, out
 
 
 def preserves_game(game: Game, sym: Symmetry) -> bool:
     """Exact invariance check of (T, V) under the symmetry."""
-    try:
-        x_perm = index_action(sym, game.input_alphabets, sym.input_perms)
-        a_perm = index_action(sym, game.output_alphabets, sym.output_perms)
-    except ValueError:
-        return False
+    sigma = sym.player_perm
+    players = range(game.players)
+    for sizes in (game.input_alphabets, game.output_alphabets):
+        if any(sizes[sigma[i]] != sizes[i] for i in players):
+            return False
+    _, x_perm = index_action(sym, players, game.input_alphabets, sym.input_perms)
+    _, a_perm = index_action(sym, players, game.output_alphabets, sym.output_perms)
     dist, pred = game.distribution, game.predicate
     n_a = game.n_outputs
     for x in range(game.n_inputs):
@@ -135,8 +120,7 @@ def round_permutation_candidates(
     round fastest; each round permutation rho acts as new_round[k] =
     old_round[rho[k]] simultaneously on every player's inputs and outputs.
     Only the n - 1 adjacent transpositions are returned: they generate every
-    round permutation, and handing all n! - 1 of them to `symmetry_group`
-    would make its closure cost O(n!^2).
+    round permutation, so their orbits are those of the whole round group.
     """
     players = len(base_inputs)
     candidates = []
@@ -153,44 +137,10 @@ def round_permutation_candidates(
 
 
 def symmetry_group(game: Game, candidates: Sequence[Symmetry]) -> list[Symmetry]:
-    """Closure of the exactly-verified candidates under composition.
+    """Generators of the game's symmetry group used for the quotient LPs:
+    the candidates that pass `preserves_game`, in candidate order.
 
-    The identity comes first; the remaining order is the deterministic BFS
-    order of the closure.
+    The group they generate is never enumerated; orbits are found by a flood
+    fill over these generators.
     """
-    identity = identity_symmetry(game.input_alphabets, game.output_alphabets)
-    generators = [sym for sym in candidates if preserves_game(game, sym)]
-    group = {identity.key(): identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for sym in frontier:
-            for gen in generators:
-                nxt = compose(gen, sym)
-                if nxt.key() not in group:
-                    group[nxt.key()] = nxt
-                    new_frontier.append(nxt)
-                    if len(group) > _GROUP_CAP:
-                        raise ResourceLimitError(
-                            f"the symmetry group has more than {_GROUP_CAP} elements"
-                        )
-        frontier = new_frontier
-    ordered = [identity] + [sym for key, sym in sorted(group.items()) if sym != identity]
-    return ordered
-
-
-def subset_action(
-    sym: Symmetry,
-    members: tuple[int, ...],
-    a_i: tuple[int, ...],
-    x_i: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Image of (I, a_I, x_I) under the symmetry; tuples follow sorted members."""
-    sigma = sym.player_perm
-    mapped = {}
-    for pos, i in enumerate(members):
-        mapped[sigma[i]] = (sym.output_perms[i][a_i[pos]], sym.input_perms[i][x_i[pos]])
-    new_members = tuple(sorted(mapped))
-    new_a = tuple(mapped[i][0] for i in new_members)
-    new_x = tuple(mapped[i][1] for i in new_members)
-    return new_members, new_a, new_x
+    return [sym for sym in candidates if preserves_game(game, sym)]

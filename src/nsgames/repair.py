@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from . import _mixedradix as mr
 from .errors import DomainError, NsGamesError, ShapeError, UnsupportedError
-from ._symmetry import identity_symmetry
 from .exact_lp import LpProblem
 from .game_model import Correlation, JointDistribution, SubsetIndex, strict_subsets
 from .polytopes import NS_MODE_ALL, is_ns, is_snos
@@ -527,8 +526,7 @@ def nearest_ns(
 
     inputs, outputs = conditional.input_alphabets, conditional.output_alphabets
     n_x, n_a = conditional.n_inputs, conditional.n_outputs
-    trivial = [(identity_symmetry(inputs, outputs), list(range(n_x)), list(range(n_a)))]
-    n_vars, forms = _ns_forms(inputs, outputs, trivial, range(n_x * n_a))
+    n_vars, forms = _ns_forms(inputs, outputs, [], range(n_x * n_a))
     rows = _QuotientRows()
     _ns_nonnegativity(rows, forms)
     # both tables are normalized per input, so the distance is the sum of the

@@ -19,15 +19,17 @@ The NS and SNOS values are linear programs over the correlation table:
 
 Both LPs are assembled in a symmetry-reduced variable space: entries of P
 and of the M tables (SNOS), or Collins-Gisin coordinates (NS), that lie in one
-orbit of the game's verified symmetry group share a single variable; the NS
-LP uses the subgroup fixing every player's last output symbol.  Averaging an
-optimal solution over the group is again feasible with the same objective, so
-the quotient LP has exactly the original optimum; the expanded witness is
-re-verified after every solve.  The
-caller can pass `rounds=n` for games built by `repeat_game`/`threshold_game`
-to enable round-permutation symmetries — candidates are checked exactly
-against (T, V) before use, so a wrong hint can only cost speed, never
-correctness.
+orbit of the group generated by the game's verified symmetries share a single
+variable.  Orbits are found by one flood fill over those generators; the group
+is never listed, so its size sets no limit.  The NS LP uses only the
+generators that fix every player's last output symbol.  Averaging an optimal
+solution over the group is again feasible with the same objective, so the
+quotient LP has exactly the original optimum; the expanded witness is
+re-verified after every solve.  The caller can pass `rounds=n` for games
+built by `repeat_game`/`threshold_game` to enable round-permutation
+symmetries — candidates are checked exactly against (T, V) before use, so a
+wrong hint can only cost speed, never correctness.  `use_symmetry=False`
+solves the unreduced LPs.
 
 The classical value is a brute-force maximum over all deterministic
 strategies (the extreme points of the classical set), which doubles as an
@@ -47,7 +49,6 @@ from ._symmetry import (
     index_action,
     player_permutation_candidates,
     round_permutation_candidates,
-    subset_action,
     symmetry_group,
 )
 from .errors import NsGamesError, ResourceLimitError
@@ -72,8 +73,6 @@ MODEL_NS = "ns"
 MODEL_SNOS = "snos"
 MODEL_CLASSICAL = "classical"
 
-#: group elements with their induced input and output index permutations
-_Group = list[tuple[Symmetry, list[int], list[int]]]
 #: P(a|x) = constant + sum coeff * v[var], as ({var: coeff}, constant)
 _Form = tuple[dict[int, int], int]
 
@@ -95,93 +94,70 @@ class ValueResult:
 # --- symmetry plumbing ------------------------------------------------------
 
 
-def _group_perms(
-    game: Game, rounds: int, use_symmetry: bool
-) -> _Group:
+def _generators(game: Game, rounds: int, use_symmetry: bool) -> list[Symmetry]:
+    """The verified player and round symmetries, or none without symmetry.
+
+    A `rounds` hint that does not fit the alphabets is refused either way.
+    """
     candidates: list[Symmetry] = []
-    if use_symmetry:
-        candidates.extend(player_permutation_candidates(game))
     if rounds > 1:
         base_in = _infer_base_alphabets(game.input_alphabets, rounds, "input")
         base_out = _infer_base_alphabets(game.output_alphabets, rounds, "output")
-        candidates.extend(round_permutation_candidates(base_in, base_out, rounds))
-    group = symmetry_group(game, candidates)
-    return [
-        (
-            sym,
-            index_action(sym, game.input_alphabets, sym.input_perms),
-            index_action(sym, game.output_alphabets, sym.output_perms),
-        )
-        for sym in group
-    ]
+        candidates = round_permutation_candidates(base_in, base_out, rounds)
+    if not use_symmetry:
+        return []
+    return symmetry_group(game, player_permutation_candidates(game) + candidates)
 
 
-def _pair_orbits(n_x: int, n_a: int, group: _Group) -> tuple[list[int], int]:
-    """Orbit id per P-table index (x * n_a + a), ids in first-seen order."""
-    orbit_of = [-1] * (n_x * n_a)
-    count = 0
-    for seed in range(n_x * n_a):
-        if orbit_of[seed] >= 0:
-            continue
-        stack = [seed]
-        orbit_of[seed] = count
-        while stack:
-            cur = stack.pop()
-            x, a = divmod(cur, n_a)
-            for _, px, pa in group[1:]:
-                img = px[x] * n_a + pa[a]
-                if orbit_of[img] < 0:
-                    orbit_of[img] = count
-                    stack.append(img)
-        count += 1
-    return orbit_of, count
-
-
-def _subset_orbits(
+def _orbits(
     inputs: tuple[int, ...],
-    group: _Group,
+    outputs: tuple[int, ...],
+    generators: Sequence[Symmetry],
     masks: Sequence[int],
-    out_alphabets: tuple[int, ...],
-) -> tuple[dict[int, tuple], dict[tuple[int, int, int], int], int]:
-    """Orbit ids of subset coordinates (mask, x_I, a_I), in first-seen order.
+) -> tuple[dict[int, list[int]], int]:
+    """Orbit ids of the subset coordinates (I, x_I, a_I), in first-seen seed
+    order, under the group the generators generate.
 
     Player i's coordinate inputs range over `inputs[i]` symbols and its
-    outputs over `out_alphabets[i]`; every group element must map those
-    ranges onto themselves.  Returns the (members, input sizes, output sizes)
-    of each mask, the orbit id per coordinate and the orbit count.
+    outputs over `outputs[i]`; every generator must map those ranges, and the
+    set of masks, onto themselves.  Entry x_I * n_a_I + a_I of the list for
+    mask I is the orbit id of that coordinate, so the full mask with the full
+    output ranges is the P table (x * n_a + a).  Returns those lists and the
+    orbit count.
     """
-    mask_info: dict[int, tuple] = {}
-    orbit_of: dict[tuple[int, int, int], int] = {}
-    for mask in masks:
-        members = tuple(i for i in range(len(inputs)) if mask >> i & 1)
-        in_sizes = tuple(inputs[i] for i in members)
-        out_sizes = tuple(out_alphabets[i] for i in members)
-        mask_info[mask] = (members, in_sizes, out_sizes)
-        for x_i in range(mr.table_size(in_sizes)):
-            for a_i in range(mr.table_size(out_sizes)):
-                orbit_of[(mask, x_i, a_i)] = -1
+    members = {mask: [i for i in range(len(inputs)) if mask >> i & 1] for mask in masks}
+    n_out = {mask: mr.table_size([outputs[i] for i in m]) for mask, m in members.items()}
+    ids = {
+        mask: [-1] * (mr.table_size([inputs[i] for i in m]) * n_out[mask])
+        for mask, m in members.items()
+    }
+    actions = []  # per generator: mask -> (image mask, input map, output map)
+    for sym in generators:
+        action = {}
+        for mask, m in members.items():
+            image, x_map = index_action(sym, m, inputs, sym.input_perms)
+            _, a_map = index_action(sym, m, outputs, sym.output_perms)
+            action[mask] = (sum(1 << j for j in image), x_map, a_map)
+        actions.append(action)
 
     count = 0
-    for seed in list(orbit_of):
-        if orbit_of[seed] >= 0:
-            continue
-        stack = [seed]
-        orbit_of[seed] = count
-        while stack:
-            mask, x_i, a_i = stack.pop()
-            members, in_sizes, out_sizes = mask_info[mask]
-            a_tup = mr.decode(a_i, out_sizes)
-            x_tup = mr.decode(x_i, in_sizes)
-            for sym, _, _ in group[1:]:
-                nm, na, nx = subset_action(sym, members, a_tup, x_tup)
-                nmask = sum(1 << i for i in nm)
-                _, nin, nout = mask_info[nmask]
-                img = (nmask, mr.encode(nx, nin), mr.encode(na, nout))
-                if orbit_of[img] < 0:
-                    orbit_of[img] = count
-                    stack.append(img)
-        count += 1
-    return mask_info, orbit_of, count
+    for mask in masks:
+        for seed in range(len(ids[mask])):
+            if ids[mask][seed] >= 0:
+                continue
+            ids[mask][seed] = count
+            stack = [(mask, seed)]
+            while stack:
+                cur_mask, cur = stack.pop()
+                x_i, a_i = divmod(cur, n_out[cur_mask])
+                for action in actions:
+                    img_mask, x_map, a_map = action[cur_mask]
+                    img = x_map[x_i] * n_out[img_mask] + a_map[a_i]
+                    if ids[img_mask][img] < 0:
+                        ids[img_mask][img] = count
+                        stack.append((img_mask, img))
+            count += 1
+    return ids, count
 
 
 class _QuotientRows:
@@ -219,8 +195,8 @@ def _project(entries: dict[int, Fraction], orbit_of: list[int]) -> dict[int, Fra
     return out
 
 
-def _objective(game: Game, orbit_of: list[int], n_orbits: int, extra: int) -> tuple:
-    obj = [_ZERO] * (n_orbits + extra)
+def _objective(game: Game, orbit_of: list[int], n_vars: int) -> tuple:
+    obj = [_ZERO] * n_vars
     n_a = game.n_outputs
     for x in range(game.n_inputs):
         t = game.distribution[x]
@@ -256,54 +232,65 @@ def _solved(problem: LpProblem, pivoting: str, what: str) -> LpSolution:
     return solution
 
 
-def _fixing_last_outputs(group: _Group, output_alphabets: tuple[int, ...]) -> _Group:
-    """The subgroup of elements that fix every player's last output symbol.
+def _fixing_last_outputs(
+    generators: list[Symmetry], output_alphabets: tuple[int, ...]
+) -> list[Symmetry]:
+    """The generators that fix every player's last output symbol.
 
-    Collins-Gisin coordinates leave the last symbol out, so only these
-    elements map coordinates to coordinates; they form a subgroup, so
-    averaging over it keeps the quotient exact.
+    Collins-Gisin coordinates leave the last symbol out, so only such
+    symmetries map coordinates to coordinates.  The subgroup they generate
+    may be smaller than the group's stabilizer of the last symbols; averaging
+    over any subgroup keeps the quotient exact.
     """
     return [
-        (sym, px, pa)
-        for sym, px, pa in group
+        sym
+        for sym in generators
         if all(sym.output_perms[i][s - 1] == s - 1 for i, s in enumerate(output_alphabets))
     ]
 
 
 def _cg_terms(
     x_tup: tuple[int, ...], a_tup: tuple[int, ...], inputs: tuple[int, ...], last: tuple[int, ...]
-) -> list[tuple[int, int, int, int]]:
-    """P(a|x) in Collins-Gisin coordinates as (mask, x_I, a_I, sign) terms.
+) -> list[tuple[int, int, int]]:
+    """P(a|x) in Collins-Gisin coordinates as (mask, x_I * n_a_I + a_I, sign)
+    terms, where a_I ranges over n_a_I = prod(last[i] for i in I) values.
 
     Inclusion-exclusion over the players whose output is their last symbol:
     each such player either drops out of the subset or enters with every
     other symbol at sign -1.  The mask-0 term is the constant 1.
     """
-    terms = [(0, 0, 0, 1)]
+    terms = [(0, 0, 0, 1, 1)]  # (mask, x_I, a_I, n_a_I, sign)
     for i, (x_i, a_i) in enumerate(zip(x_tup, a_tup)):
         bit, radix = 1 << i, last[i]
         if a_i < radix:
-            terms = [(m | bit, xi * inputs[i] + x_i, ai * radix + a_i, c) for m, xi, ai, c in terms]
+            terms = [
+                (m | bit, xi * inputs[i] + x_i, ai * radix + a_i, n * radix, c)
+                for m, xi, ai, n, c in terms
+            ]
             continue
         grown = list(terms)
-        for m, xi, ai, c in terms:
+        for m, xi, ai, n, c in terms:
             xi = xi * inputs[i] + x_i
-            grown.extend((m | bit, xi, ai * radix + b, -c) for b in range(radix))
+            grown.extend((m | bit, xi, ai * radix + b, n * radix, -c) for b in range(radix))
         terms = grown
-    return terms
+    return [(m, xi * n + ai, c) for m, xi, ai, n, c in terms]
 
 
 def _ns_forms(
-    inputs: tuple[int, ...], outputs: tuple[int, ...], group: _Group, indices: Iterable[int]
+    inputs: tuple[int, ...],
+    outputs: tuple[int, ...],
+    generators: Sequence[Symmetry],
+    indices: Iterable[int],
 ) -> tuple[int, list[_Form]]:
     """The Collins-Gisin parametrization of the NS polytope over the alphabets.
 
-    One variable per orbit of coordinates p_I(a_I|x_I) under `group`, which
-    must fix every player's last output symbol.  Returns the variable count
-    and the affine form of P(a|x) per P-table index (x * n_a + a) in `indices`.
+    One variable per orbit of coordinates p_I(a_I|x_I) under the generators,
+    which must fix every player's last output symbol.  Returns the variable
+    count and the affine form of P(a|x) per P-table index (x * n_a + a) in
+    `indices`.
     """
     last = tuple(s - 1 for s in outputs)
-    _, var_of, n_vars = _subset_orbits(inputs, group, range(1, 2 ** len(inputs)), last)
+    var_of, n_vars = _orbits(inputs, last, generators, range(1, 2 ** len(inputs)))
     n_a = mr.table_size(outputs)
     forms = []
     for idx in indices:
@@ -311,9 +298,9 @@ def _ns_forms(
         entries: dict[int, int] = {}
         constant = 0
         x_tup, a_tup = mr.decode(x, inputs), mr.decode(a, outputs)
-        for mask, x_i, a_i, sign in _cg_terms(x_tup, a_tup, inputs, last):
+        for mask, coord, sign in _cg_terms(x_tup, a_tup, inputs, last):
             if mask:
-                var = var_of[(mask, x_i, a_i)]
+                var = var_of[mask][coord]
                 entries[var] = entries.get(var, 0) + sign
             else:
                 constant += sign
@@ -347,19 +334,22 @@ def value_ns(
 ) -> ValueResult:
     """Exact NS value and an optimal no-signalling witness."""
     _check_cap(game, table_cap, "value_ns")
-    group = _fixing_last_outputs(_group_perms(game, rounds, use_symmetry), game.output_alphabets)
-    orbit_of, n_orbits = _pair_orbits(game.n_inputs, game.n_outputs, group)
+    inputs, outputs = game.input_alphabets, game.output_alphabets
+    generators = _fixing_last_outputs(_generators(game, rounds, use_symmetry), outputs)
+    full = 2**game.players - 1
+    p_ids, n_orbits = _orbits(inputs, outputs, generators, [full])
+    orbit_of = p_ids[full]
     first: dict[int, int] = {}  # orbit -> its first P-table index
     for idx, orbit in enumerate(orbit_of):
         first.setdefault(orbit, idx)
-    n_vars, forms = _ns_forms(game.input_alphabets, game.output_alphabets, group, first.values())
+    n_vars, forms = _ns_forms(inputs, outputs, generators, first.values())
 
     # one P(a|x) >= 0 row per orbit of (x, a)
     rows = _QuotientRows()
     _ns_nonnegativity(rows, forms)
     objective = [_ZERO] * n_vars
     offset = _ZERO
-    for weight, (entries, constant) in zip(_objective(game, orbit_of, n_orbits, 0), forms):
+    for weight, (entries, constant) in zip(_objective(game, orbit_of, n_orbits), forms):
         if weight:
             offset += weight * constant
             for var, c in entries.items():
@@ -385,46 +375,43 @@ def value_snos(
 ) -> ValueResult:
     """Exact SNOS value and an optimal sub-no-signalling witness."""
     _check_cap(game, table_cap, "value_snos")
-    group = _group_perms(game, rounds, use_symmetry)
+    inputs, outputs = game.input_alphabets, game.output_alphabets
     n_x, n_a = game.n_inputs, game.n_outputs
-    orbit_of, n_orbits = _pair_orbits(n_x, n_a, group)
-
-    # dominator variables M_I(a_I, x_I), orbit-reduced like the P table
-    masks = [subset.mask() for subset in strict_subsets(game.players, include_empty=False)]
-    mask_info, m_orbit_of, n_m_orbits = _subset_orbits(
-        game.input_alphabets, group, masks, game.output_alphabets
-    )
-
-    def m_var(mask: int, x_i: int, a_i: int) -> int:
-        return n_orbits + m_orbit_of[(mask, x_i, a_i)]
+    # the P table is the full mask; the dominators M_I(a_I, x_I) are the strict
+    # ones, whose orbits never meet the P table's, so they follow its ids
+    subsets = strict_subsets(game.players, include_empty=False)
+    full = 2**game.players - 1
+    masks = [full] + [subset.mask() for subset in subsets]
+    ids, n_vars = _orbits(inputs, outputs, _generators(game, rounds, use_symmetry), masks)
+    orbit_of = ids[full]
 
     rows = _QuotientRows()
     for x in range(n_x):  # empty subset: total mass at most 1 per input
         rows.add(_project({x * n_a + a: _ONE for a in range(n_a)}, orbit_of), "<=", _ONE)
-    for mask, (members, in_sizes, out_sizes) in mask_info.items():
-        x_proj = mr.project(game.input_alphabets, members)
-        n_a_i = mr.table_size(out_sizes)
+    for subset in subsets:
+        m_of = ids[subset.mask()]
+        x_proj = mr.project(inputs, subset.members)
+        n_a_i = mr.table_size([outputs[i] for i in subset.members])
         out_groups: list[list[int]] = [[] for _ in range(n_a_i)]
-        for a, a_i in enumerate(mr.project(game.output_alphabets, members)):
+        for a, a_i in enumerate(mr.project(outputs, subset.members)):
             out_groups[a_i].append(a)
         for x in range(n_x):
             for a_i in range(n_a_i):
                 entries = _project(
                     {x * n_a + a: _ONE for a in out_groups[a_i]}, orbit_of
                 )
-                var = m_var(mask, x_proj[x], a_i)
+                var = m_of[x_proj[x] * n_a_i + a_i]
                 entries[var] = entries.get(var, _ZERO) - _ONE
                 rows.add(entries, "<=", _ZERO)
-        for x_i in range(mr.table_size(in_sizes)):
+        for x_i in range(mr.table_size([inputs[i] for i in subset.members])):
             entries = {}
             for a_i in range(n_a_i):
-                var = m_var(mask, x_i, a_i)
+                var = m_of[x_i * n_a_i + a_i]
                 entries[var] = entries.get(var, _ZERO) + _ONE
             rows.add(entries, "<=", _ONE)
 
-    n_vars = n_orbits + n_m_orbits
     problem = LpProblem(
-        _objective(game, orbit_of, n_orbits, n_m_orbits),
+        _objective(game, orbit_of, n_vars),
         rows.to_constraints(n_vars),
         maximize=True,
     )

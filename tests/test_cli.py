@@ -274,15 +274,14 @@ def test_exit_code_resource_error(capsys, chsh_file):
     assert "cap" in err
 
 
-def test_symmetry_group_cap_exits_3(capsys, monkeypatch, tmp_path):
+def test_large_round_group_needs_no_cap(capsys, tmp_path):
+    # 8 rounds permute in 40320 ways; orbits come from the 7 generators alone
     game = {"players": 1, "inputs": [1], "outputs": [2], "distribution": ["1"], "predicate": [1, 0]}
     path = tmp_path / "one.json"
     path.write_text(json.dumps(game))
-    monkeypatch.setattr("nsgames._symmetry._GROUP_CAP", 5)  # 4 rounds permute in 24 ways
-    code, out, err = run(capsys, "value", str(path), "--model", "ns", "--repeat", "4")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:")
+    code, out, err = run(capsys, "value", str(path), "--model", "ns", "--repeat", "8")
+    assert code == 0, err
+    assert json.loads(out)["results"]["value"] == "1/1"
 
 
 def test_reports_byte_stable(capsys, a3_file):

@@ -38,6 +38,8 @@ from nsgames._symmetry import (
 )
 from nsgames.polytopes import NS_MODE_ALL
 
+from _reference_orbits import closure, fixing_last_outputs, reference_orbits
+
 F = Fraction
 
 
@@ -342,7 +344,7 @@ def test_ns_value_matches_dense_equality_lp(game):
     assert value_ns(game, pivoting="bland").value == want
 
 
-def _captured_ns_problems(monkeypatch, game, **kwargs) -> list[LpProblem]:
+def _captured_problems(monkeypatch, game, solve=value_ns, **kwargs) -> list[LpProblem]:
     captured = []
 
     def spy(problem, **options):
@@ -350,14 +352,14 @@ def _captured_ns_problems(monkeypatch, game, **kwargs) -> list[LpProblem]:
         return lp_solve(problem, **options)
 
     monkeypatch.setattr(values, "lp_solve", spy)
-    value_ns(game, **kwargs)
+    solve(game, **kwargs)
     return captured
 
 
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_ns_lp_starts_from_a_feasible_slack_basis(monkeypatch, a3, rounds):
     game = repeat_game(a3, rounds) if rounds > 1 else a3
-    (problem,) = _captured_ns_problems(monkeypatch, game, rounds=rounds)
+    (problem,) = _captured_problems(monkeypatch, game, rounds=rounds)
     assert problem.constraints
     for _, relation, bound in problem.constraints:
         assert relation == "<="
@@ -368,21 +370,21 @@ def test_symmetry_moving_a_last_output_is_left_out(monkeypatch, chsh):
     # flipping both outputs preserves a XOR b = x AND y, but moves the last symbol
     flip = Symmetry((0, 1), ((0, 1), (0, 1)), ((1, 0), (1, 0)))
     assert preserves_game(chsh, flip)
-    group = values._group_perms(chsh, 1, True)
-    assert values._fixing_last_outputs(group, chsh.output_alphabets) == group
+    generators = values._generators(chsh, 1, True)
+    assert values._fixing_last_outputs(generators, chsh.output_alphabets) == generators
     monkeypatch.setattr(
         values, "player_permutation_candidates", lambda g: [flip] + player_permutation_candidates(g)
     )
-    group = values._group_perms(chsh, 1, True)
-    kept = values._fixing_last_outputs(group, chsh.output_alphabets)
-    assert any(sym == flip for sym, _, _ in group)
-    assert all(sym != flip for sym, _, _ in kept)
-    assert len(kept) * 2 == len(group)
-    with_flip = _captured_ns_problems(monkeypatch, chsh)
+    generators = values._generators(chsh, 1, True)
+    kept = values._fixing_last_outputs(generators, chsh.output_alphabets)
+    assert flip in generators
+    assert flip not in kept
+    assert len(kept) == len(generators) - 1
+    with_flip = _captured_problems(monkeypatch, chsh)
     assert value_ns(chsh).value == 1
-    assert value_snos(chsh).value == 1  # the SNOS quotient keeps the whole group
+    assert value_snos(chsh).value == 1  # the SNOS quotient keeps every generator
     monkeypatch.undo()
-    without_flip = _captured_ns_problems(monkeypatch, chsh)
+    without_flip = _captured_problems(monkeypatch, chsh)
     assert with_flip[0].n_vars == without_flip[0].n_vars
 
 
@@ -396,6 +398,88 @@ def test_round_transpositions_generate_every_round_permutation(chsh, rounds):
     adjacent = round_permutation_candidates((2, 2), (2, 2), rounds)
     assert len(adjacent) == rounds - 1
     for game in (repeat_game(chsh, rounds), threshold_game(chsh, 1, rounds)):
-        group = symmetry_group(game, adjacent)
-        assert len(group) == len(every) + 1
-        assert group == symmetry_group(game, every)
+        assert symmetry_group(game, adjacent) == adjacent
+        assert len(symmetry_group(game, every)) == len(every)
+        inputs, outputs = game.input_alphabets, game.output_alphabets
+        masks = [3, 1, 2]
+        assert values._orbits(inputs, outputs, adjacent, masks) == values._orbits(
+            inputs, outputs, every, masks
+        )
+
+
+def test_use_symmetry_false_leaves_the_lp_unreduced(monkeypatch, chsh):
+    game = repeat_game(chsh, 2)
+    inputs, outputs = game.input_alphabets, game.output_alphabets
+    last = tuple(s - 1 for s in outputs)
+    full = 2**game.players - 1
+
+    def coordinates(out_sizes, masks):
+        return sum(
+            table_size([inputs[i] for i in range(game.players) if mask >> i & 1])
+            * table_size([out_sizes[i] for i in range(game.players) if mask >> i & 1])
+            for mask in masks
+        )
+
+    unreduced = {
+        value_ns: coordinates(last, range(1, full + 1)),
+        value_snos: coordinates(outputs, range(1, full + 1)),
+    }
+    for solve, n_vars in unreduced.items():
+        (plain,) = _captured_problems(monkeypatch, game, solve, rounds=2, use_symmetry=False)
+        (reduced,) = _captured_problems(monkeypatch, game, solve, rounds=2)
+        assert plain.n_vars == n_vars > reduced.n_vars
+        monkeypatch.undo()
+        assert lp_solve(plain).value == lp_solve(reduced).value
+        assert solve(game, rounds=2, use_symmetry=False).value == solve(game, rounds=2).value
+    with pytest.raises(ShapeError):  # the rounds hint is still checked
+        value_ns(chsh, rounds=2, use_symmetry=False)
+
+
+# --- orbits from generators against the enumerated group ---------------------------
+
+
+def _assert_generator_orbits_match_group(game: Game, rounds: int) -> list:
+    """The flood fill over the generators finds the orbits of the closed group
+    on the P table with the SNOS dominator coordinates, and on the NS
+    coordinates; returns the group."""
+    inputs, outputs = game.input_alphabets, game.output_alphabets
+    generators = values._generators(game, rounds, True)
+    group = closure(game, generators)
+    full = 2**game.players - 1
+    snos_masks = [full] + list(range(1, full))
+    assert values._orbits(inputs, outputs, generators, snos_masks) == reference_orbits(
+        inputs, outputs, group, snos_masks
+    )
+    last = tuple(s - 1 for s in outputs)
+    ns_masks = list(range(1, full + 1))
+    kept = values._fixing_last_outputs(generators, outputs)
+    assert values._orbits(inputs, last, kept, ns_masks) == reference_orbits(
+        inputs, last, fixing_last_outputs(group, outputs), ns_masks
+    )
+    return group
+
+
+@st.composite
+def _round_games(draw):
+    players = draw(st.sampled_from([2, 3]))
+    top = 3 if players == 2 else 2
+    inputs = tuple(draw(st.integers(1, top)) for _ in range(players))
+    outputs = tuple(draw(st.integers(1, top)) for _ in range(players))
+    base = random_game(draw(st.integers(0, 10**6)), players, inputs, outputs)
+    size = base.n_inputs * base.n_outputs
+    rounds = draw(st.integers(1, max(r for r in (1, 2, 3) if size**r <= 4096)))
+    if rounds > 1 and draw(st.booleans()):
+        return threshold_game(base, draw(st.integers(1, rounds)), rounds), rounds
+    return (repeat_game(base, rounds) if rounds > 1 else base), rounds
+
+
+@settings(max_examples=20, deadline=None)
+@given(_round_games())
+def test_generator_orbits_match_the_enumerated_group(case):
+    _assert_generator_orbits_match_group(*case)
+
+
+@pytest.mark.parametrize("rounds, order", [(1, 6), (2, 12)])
+def test_generator_orbits_match_the_enumerated_group_of_a3(a3, rounds, order):
+    game = repeat_game(a3, rounds) if rounds > 1 else a3
+    assert len(_assert_generator_orbits_match_group(game, rounds)) == order
