@@ -4,8 +4,9 @@ Convention used everywhere in the package: the *last* component varies
 fastest, i.e. ``encode((v0, .., vk), (r0, .., rk)) = ((v0*r1 + v1)*r2 + ..)``.
 
 `project` is the one place where index maps between such tables are built:
-subset restrictions, player relabellings, moving one block to the front and
-regrouping per-round symbols are all digit selections or reorderings.
+subset restrictions, player relabellings, the diagonal embedding into the
+per-subset blocks and regrouping per-round symbols are all digit selections,
+repetitions or reorderings.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ no-signalling objects to exact members of the target sets.
   no-signalling correlation that dominates the input.  (For three or more
   players no such pointwise lift exists in general, so the operation refuses
   other player counts.)
-* `coupling_adjust` — the maximal-coupling marginal replacement: given a
-  joint on S x T and a target marginal on S, produce a joint with first
-  marginal exactly the target, second marginal unchanged, moving at most
-  ||target - current||_1 of mass.
-* `reconstruct_multi_marginal` — per-input recursive application of
-  `coupling_adjust`, one block at a time, yielding a conditional whose block
-  marginals are exactly the prescribed local ones, at L1 cost
+* `maximal_coupling` / `coupling_adjust` — the maximal-coupling marginal
+  replacement: given a joint on S x T and a target marginal on S, produce a
+  joint with first marginal exactly the target, second marginal unchanged,
+  moving at most ||target - current||_1 of mass.
+* `reconstruct_multi_marginal` — per input, the marginal of each block in turn
+  is replaced by its prescribed local one through the same maximal coupling,
+  applied in place to one mixed-radix digit of the input's nonzero masses;
+  the result's block marginals are exactly the local ones, at L1 cost
   eps_0 + sum_j 2 eps_j.
 * `reconstruct_snos` — lifts a joint distribution to one block per nonempty
   strict player subset (indexed by ascending subset bitmask), reconstructs,
@@ -22,7 +23,8 @@ no-signalling objects to exact members of the target sets.
   minimizing (1/2)||T.P'' - T.P'||_1, with the minimum distance; an LP over
   Collins-Gisin coordinates, distance = sum of positive parts.
 
-All arithmetic is exact.
+All arithmetic is exact.  Inputs are checked once, at the entry points; the
+coupling core they share checks nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from fractions import Fraction
 from . import _mixedradix as mr
 from .errors import DomainError, NsGamesError, ShapeError, UnsupportedError
 from .exact_lp import LpProblem
-from .game_model import Correlation, JointDistribution, SubsetIndex, strict_subsets
-from .polytopes import NS_MODE_ALL, is_ns, is_snos
+from .game_model import Correlation, JointDistribution, strict_subsets
+from .polytopes import NS_MODE_ALL, is_ns, is_snos, trace_distance
 from .values import _ns_forms, _ns_nonnegativity, _ns_point, _QuotientRows, _solved
 
 _ZERO = Fraction(0)
@@ -128,6 +130,27 @@ def _check_distribution(values: Sequence[Fraction], what: str) -> tuple[Fraction
     return values
 
 
+def _coupling(
+    first: Sequence[Fraction], second: Sequence[Fraction]
+) -> list[tuple[int, int, Fraction]]:
+    """The nonzero entries (s, s2, pi(s, s2)) of the maximal coupling pi of two
+    distributions of equal total mass, unchecked.
+
+    pi(s, s) = min(first(s), second(s)); the excess of `first` over that
+    minimum is spread over the excess of `second` as the product of the two
+    normalized positive parts.
+    """
+    diag = [min(a, b) for a, b in zip(first, second)]
+    entries = [(s, s, d) for s, d in enumerate(diag) if d]
+    excess = [(s, a - d) for s, (a, d) in enumerate(zip(first, diag)) if a > d]
+    deficit = [(s2, b - d) for s2, (b, d) in enumerate(zip(second, diag)) if b > d]
+    moved = sum((e for _, e in excess), _ZERO)
+    for s, e in excess:
+        scale = e / moved
+        entries.extend((s, s2, scale * r) for s2, r in deficit)
+    return entries
+
+
 def maximal_coupling(
     first: Sequence[Fraction], second: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -143,22 +166,39 @@ def maximal_coupling(
     second = _check_distribution(second, "second marginal")
     if len(first) != len(second):
         raise ShapeError("maximal_coupling needs marginals on a common set")
-    n = len(first)
-    diag = [min(a, b) for a, b in zip(first, second)]
-    rest_first = [a - d for a, d in zip(first, diag)]
-    rest_second = [b - d for b, d in zip(second, diag)]
-    moved = sum(rest_first, _ZERO)
-    rows = []
-    for s in range(n):
-        row = [_ZERO] * n
-        row[s] = diag[s]
-        if moved > 0 and rest_first[s] > 0:
-            scale = rest_first[s] / moved
-            for s2 in range(n):
-                if rest_second[s2]:
-                    row[s2] += scale * rest_second[s2]
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[_ZERO] * len(first) for _ in first]
+    for s, s2, weight in _coupling(first, second):
+        rows[s][s2] = weight
+    return tuple(tuple(row) for row in rows)
+
+
+def _replace_digit_marginal(
+    dist: dict[int, Fraction], target: Sequence[Fraction], stride: int
+) -> dict[int, Fraction]:
+    """Replace the marginal of one mixed-radix digit of `dist` by `target`.
+
+    `dist` maps joint indices to their nonzero masses; the digit is the one of
+    weight `stride`, with ``len(target)`` values.  Mass at an index whose digit
+    is s2 moves to ``idx + (s - s2) * stride`` in proportion pi(s, s2) /
+    current(s2), pi the maximal coupling of (target, current): the digit's new
+    marginal is `target`, the joint law of all other digits is unchanged, and
+    at most ||target - current||_1 of mass moves.  `dist` itself is returned
+    when its marginal already equals `target`.  Nothing is checked.
+    """
+    n = len(target)
+    current = [_ZERO] * n
+    for idx, mass in dist.items():
+        current[idx // stride % n] += mass
+    if current == list(target):
+        return dist
+    moves: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for s, s2, weight in _coupling(target, current):
+        moves[s2].append(((s - s2) * stride, weight / current[s2]))
+    out: dict[int, Fraction] = {}
+    for idx, mass in dist.items():
+        for shift, factor in moves[idx // stride % n]:
+            out[idx + shift] = out.get(idx + shift, _ZERO) + factor * mass
+    return out
 
 
 def coupling_adjust(
@@ -179,28 +219,53 @@ def coupling_adjust(
         raise ShapeError("target length does not match the first alphabet")
     joint = _check_distribution(joint, "joint")
     target = _check_distribution(target, "target")
-
-    current = [sum(joint[s * n_second : (s + 1) * n_second], _ZERO) for s in range(n_first)]
-    if list(target) == current:
-        return joint
-    pi = maximal_coupling(target, current)
-    out = [_ZERO] * (n_first * n_second)
-    for s2 in range(n_first):
-        if current[s2] == 0:
-            continue
-        base = s2 * n_second
-        conditional = [joint[base + t] / current[s2] for t in range(n_second)]
-        for s in range(n_first):
-            weight = pi[s][s2]
-            if weight:
-                row = s * n_second
-                for t in range(n_second):
-                    if conditional[t]:
-                        out[row + t] += weight * conditional[t]
-    return tuple(out)
+    out = _replace_digit_marginal({idx: v for idx, v in enumerate(joint) if v}, target, n_second)
+    return tuple(out.get(idx, _ZERO) for idx in range(len(joint)))
 
 
 # --- multi-marginal reconstruction ------------------------------------------
+
+
+def _conditional_table(
+    values: Sequence[Fraction], n_in: int, n_out: int, what: str
+) -> tuple[Fraction, ...]:
+    """`values` as an exact conditional table Q(b|z) (z major), checked."""
+    table = tuple(Fraction(v) for v in values)
+    if len(table) != n_in * n_out:
+        raise ShapeError(f"{what} has the wrong size")
+    for z in range(n_in):
+        row = table[z * n_out : (z + 1) * n_out]
+        if any(v < 0 for v in row) or sum(row, _ZERO) != 1:
+            raise DomainError(f"{what} is not a conditional distribution")
+    return table
+
+
+def _certificate_distance(
+    entries: Sequence[Fraction],
+    inputs: Sequence[int],
+    outputs: Sequence[int],
+    members: Sequence[int],
+    target: Sequence[Fraction],
+    table: Sequence[Fraction],
+) -> Fraction:
+    """(1/2) || P_{A_I X} - T.Q_I ||_1, exactly.
+
+    `entries` is P over X x A (x major, mixed radix over `inputs` and
+    `outputs`); Q_I(a_I|x_I) is `table`, over the digits `members` of both.
+    """
+    a_proj = mr.project(outputs, members)
+    x_proj = mr.project(inputs, members)
+    n_a, n_a_i = len(a_proj), mr.table_size([outputs[i] for i in members])
+    total = _ZERO
+    for x, t in enumerate(target):
+        got = [_ZERO] * n_a_i
+        for a, q in enumerate(entries[x * n_a : (x + 1) * n_a]):
+            if q:
+                got[a_proj[a]] += q
+        row = x_proj[x] * n_a_i
+        for a_i in range(n_a_i):
+            total += abs(got[a_i] - t * table[row + a_i])
+    return total / 2
 
 
 @dataclass(frozen=True)
@@ -236,34 +301,31 @@ class ReconstructionProblem:
         object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
         if len(self.eps) != blocks:
             raise ShapeError("one tolerance per block is required")
+        if len(self.marginals) != blocks:
+            raise ShapeError("one marginal table per block is required")
         n_z, n_b = self.n_z, self.n_b
         if len(self.target) != n_z:
             raise ShapeError("target length does not match the block inputs")
         if len(self.joint) != n_z * n_b:
             raise ShapeError("joint size does not match the block alphabets")
-        marginals = []
-        for j in range(blocks):
-            table = tuple(Fraction(v) for v in self.marginals[j])
-            z_j, b_j = self.block_inputs[j], self.block_outputs[j]
-            if len(table) != z_j * b_j:
-                raise ShapeError(f"block {j} marginal table has the wrong size")
-            for z in range(z_j):
-                row = table[z * b_j : (z + 1) * b_j]
-                if any(v < 0 for v in row) or sum(row, _ZERO) != 1:
-                    raise DomainError(f"block {j} marginal is not a conditional distribution")
-            marginals.append(table)
-        object.__setattr__(self, "marginals", tuple(marginals))
+        marginals = tuple(
+            _conditional_table(table, z_j, b_j, f"block {j} marginal table")
+            for j, (table, z_j, b_j) in enumerate(
+                zip(self.marginals, self.block_inputs, self.block_outputs)
+            )
+        )
+        object.__setattr__(self, "marginals", marginals)
 
-        z_weight = [
-            sum(self.joint[z * n_b : (z + 1) * n_b], _ZERO) for z in range(n_z)
-        ]
-        drift = sum((abs(w - t) for w, t in zip(z_weight, self.target)), _ZERO) / 2
+        z_weight = [sum(self.joint[z * n_b : (z + 1) * n_b], _ZERO) for z in range(n_z)]
+        drift = trace_distance(z_weight, self.target)
         if drift > self.eps0:
             raise DomainError(
                 f"input-marginal tolerance violated: distance {drift} > eps0 {self.eps0}"
             )
         for j in range(blocks):
-            dist = self._block_distance(j)
+            dist = _certificate_distance(
+                self.joint, self.block_inputs, self.block_outputs, (j,), self.target, marginals[j]
+            )
             if dist > self.eps[j]:
                 raise DomainError(
                     f"block {j} marginal tolerance violated: distance {dist} > {self.eps[j]}"
@@ -281,49 +343,31 @@ class ReconstructionProblem:
     def n_b(self) -> int:
         return mr.table_size(self.block_outputs)
 
-    def _block_distance(self, j: int) -> Fraction:
-        """(1/2) || joint_{B_j Z} - target.Q_j ||_1, exactly."""
-        n_z, n_b = self.n_z, self.n_b
-        b_j = self.block_outputs[j]
-        proj = mr.project(self.block_outputs, (j,))
-        z_comp = mr.project(self.block_inputs, (j,))
-        total = _ZERO
-        for z in range(n_z):
-            got = [_ZERO] * b_j
-            base = z * n_b
-            for b in range(n_b):
-                if self.joint[base + b]:
-                    got[proj[b]] += self.joint[base + b]
-            trow = self.target[z]
-            qrow = self.marginals[j][z_comp[z] * b_j : (z_comp[z] + 1) * b_j]
-            for v in range(b_j):
-                total += abs(got[v] - trow * qrow[v])
-        return total / 2
 
-
-def _adjust_block_marginals(
-    conditional: list[Fraction],
-    block_targets: list[tuple[Fraction, ...]],
-    front_maps: list[tuple[int, ...]],
+def _reconstruct_input(
+    mass: dict[int, Fraction],
+    z_parts: Sequence[int],
+    tables: Sequence[tuple[Fraction, ...]],
     block_outputs: tuple[int, ...],
-) -> list[Fraction]:
-    """Apply `coupling_adjust` once per block to a conditional over B.
+) -> dict[int, Fraction]:
+    """One input's reconstructed conditional over B, as a map of its nonzeros.
 
-    `front_maps[j]` sends a joint index over B to its index with block j's
-    component moved to the front, i.e. to the (b_j, rest) split.
+    `mass` holds the input's nonzero joint masses over B; their conditional
+    (uniform over B where the input has no mass) gets the marginal of each
+    block j replaced, in ascending block order, by the row ``z_parts[j]`` of
+    the conditional table ``tables[j]``.
     """
-    n_b = len(conditional)
-    current = conditional
-    for j, target in enumerate(block_targets):
-        b_j = block_outputs[j]
-        front = front_maps[j]
-        reshaped = [_ZERO] * n_b
-        for idx in range(n_b):
-            if current[idx]:
-                reshaped[front[idx]] = current[idx]
-        adjusted = coupling_adjust(reshaped, target, b_j, n_b // b_j)
-        current = [adjusted[f] for f in front]
-    return current
+    n_b = mr.table_size(block_outputs)
+    weight = sum(mass.values(), _ZERO)
+    if weight > 0:
+        dist = {idx: v / weight for idx, v in mass.items()}
+    else:
+        dist = dict.fromkeys(range(n_b), Fraction(1, n_b))
+    stride = n_b
+    for table, z_j, b_j in zip(tables, z_parts, block_outputs):
+        stride //= b_j
+        dist = _replace_digit_marginal(dist, table[z_j * b_j : (z_j + 1) * b_j], stride)
+    return dist
 
 
 def reconstruct_multi_marginal(problem: ReconstructionProblem) -> tuple[Fraction, ...]:
@@ -332,34 +376,21 @@ def reconstruct_multi_marginal(problem: ReconstructionProblem) -> tuple[Fraction
 
     Works input by input: starting from the conditional of `joint` at z (the
     uniform distribution where z carries no mass), the marginal of each block
-    is replaced in ascending block order by `coupling_adjust`, which preserves
+    is replaced in ascending block order by maximal coupling, which preserves
     the joint distribution of all other blocks.  The exact L1 guarantee
     (1/2)||target.P' - joint||_1 <= eps0 + sum_j 2 eps[j] follows and is what
     the tests assert.
     """
-    n_z, n_b = problem.n_z, problem.n_b
-    blocks = range(problem.blocks)
-    front_maps = [  # component j moved to the front
-        mr.project(problem.block_outputs, (j, *(p for p in blocks if p != j))) for j in blocks
-    ]
-    z_comps = [mr.project(problem.block_inputs, (j,)) for j in blocks]
-    uniform = Fraction(1, n_b)
+    n_b = problem.n_b
+    z_projs = [mr.project(problem.block_inputs, (j,)) for j in range(problem.blocks)]
     out: list[Fraction] = []
-    for z in range(n_z):
+    for z in range(problem.n_z):
         row = problem.joint[z * n_b : (z + 1) * n_b]
-        weight = sum(row, _ZERO)
-        if weight > 0:
-            conditional = [v / weight for v in row]
-        else:
-            conditional = [uniform] * n_b
-        targets = []
-        for j in range(problem.blocks):
-            b_j = problem.block_outputs[j]
-            z_j = z_comps[j][z]
-            targets.append(problem.marginals[j][z_j * b_j : (z_j + 1) * b_j])
-        out.extend(
-            _adjust_block_marginals(conditional, targets, front_maps, problem.block_outputs)
+        mass = {b: v for b, v in enumerate(row) if v}
+        dist = _reconstruct_input(
+            mass, [proj[z] for proj in z_projs], problem.marginals, problem.block_outputs
         )
+        out.extend(dist.get(b, _ZERO) for b in range(n_b))
     return tuple(out)
 
 
@@ -377,9 +408,10 @@ def reconstruct_snos(
     `marginals[I]` is a conditional table Q_I(a_I|x_I) (x_I major) for every
     nonempty strict subset I (given as a sorted tuple of player indices);
     `epsilons` additionally contains the empty tuple.  Construction checks
-    exactly that (1/2)||joint_X - target||_1 <= eps[()] and that each
-    (1/2)||joint_{A_I X} - target.Q_I||_1 <= eps[I]; a violated certificate is
-    reported by subset.
+    exactly that each table is a conditional distribution, that
+    (1/2)||joint_X - target||_1 <= eps[()] and that each
+    (1/2)||joint_{A_I X} - target.Q_I||_1 <= eps[I]; a malformed table or a
+    violated certificate is reported by subset.
 
     One reconstruction block per subset (ascending bitmask) is run on the
     lifted alphabets, then the result is restricted along the diagonal
@@ -398,70 +430,50 @@ def reconstruct_snos(
     if not joint.is_normalized():
         raise DomainError("joint must be a normalized distribution")
 
-    subsets = strict_subsets(players, include_empty=False)
-    empty_key = ()
-    if empty_key not in epsilons:
-        raise DomainError("a tolerance for the empty subset is required")
-    missing = [s.members for s in subsets if s.members not in marginals]
+    subsets = [s.members for s in strict_subsets(players, include_empty=False)]
+    missing = [members for members in [(), *subsets] if members not in epsilons]
+    if missing:
+        raise DomainError(f"missing tolerances for subsets {missing}")
+    missing = [members for members in subsets if members not in marginals]
     if missing:
         raise DomainError(f"missing marginal tables for subsets {missing}")
 
-    # certificate checks, named by subset
-    x_weight = joint.input_marginal()
-    drift = sum((abs(w - t) for w, t in zip(x_weight, target)), _ZERO) / 2
-    eps0 = Fraction(epsilons[empty_key])
+    # table and certificate checks, named by subset
+    inputs, outputs = joint.input_alphabets, joint.output_alphabets
+    drift = trace_distance(joint.input_marginal(), target)
+    eps0 = Fraction(epsilons[()])
     if drift > eps0:
         raise DomainError(
             f"subset () certificate violated: input-marginal distance {drift} > {eps0}"
         )
-    block_tables: list[tuple[Fraction, ...]] = []
-    block_eps: list[Fraction] = []
-    for subset in subsets:
-        table = tuple(Fraction(v) for v in marginals[subset.members])
-        eps_i = Fraction(epsilons[subset.members])
-        dist = _subset_certificate_distance(joint, target, subset, table)
+    # lifted output space: one block per subset, of that subset's outputs
+    block_outputs = tuple(mr.table_size([outputs[i] for i in members]) for members in subsets)
+    tables: list[tuple[Fraction, ...]] = []
+    for members, b_i in zip(subsets, block_outputs):
+        n_x_i = mr.table_size([inputs[i] for i in members])
+        table = _conditional_table(
+            marginals[members], n_x_i, b_i, f"marginal table for subset {members}"
+        )
+        eps_i = Fraction(epsilons[members])
+        dist = _certificate_distance(joint.entries, inputs, outputs, members, target, table)
         if dist > eps_i:
             raise DomainError(
-                f"subset {subset.members} certificate violated: distance {dist} > {eps_i}"
+                f"subset {members} certificate violated: distance {dist} > {eps_i}"
             )
-        block_tables.append(table)
-        block_eps.append(eps_i)
+        tables.append(table)
 
-    # lifted output space: one block per subset
-    block_outputs = tuple(
-        mr.table_size(tuple(joint.output_alphabets[i] for i in s.members)) for s in subsets
-    )
-    x_projs = [mr.project(joint.input_alphabets, s.members) for s in subsets]
-    n_a = joint.n_outputs
+    x_projs = [mr.project(inputs, members) for members in subsets]
     # diagonal embedding: block j holds a_I for the j-th subset I
-    delta = mr.project(joint.output_alphabets, [i for s in subsets for i in s.members])
-    blocks = range(len(subsets))
-    front_maps = [  # component j moved to the front
-        mr.project(block_outputs, (j, *(p for p in blocks if p != j))) for j in blocks
-    ]
-    n_b = mr.table_size(block_outputs)
-    uniform = Fraction(1, n_b)
-
+    delta = mr.project(outputs, [i for members in subsets for i in members])
+    n_a = joint.n_outputs
     densities: list[Fraction] = []
     for x in range(joint.n_inputs):
-        weight = x_weight[x]
-        lifted = [_ZERO] * n_b
-        if weight > 0:
-            for a in range(n_a):
-                q = joint.value(x, a)
-                if q:
-                    lifted[delta[a]] += q / weight
-        else:
-            lifted = [uniform] * n_b
-        targets = []
-        for j, subset in enumerate(subsets):
-            b_j = block_outputs[j]
-            z_j = x_projs[j][x]
-            targets.append(block_tables[j][z_j * b_j : (z_j + 1) * b_j])
-        adjusted = _adjust_block_marginals(lifted, targets, front_maps, block_outputs)
-        densities.extend(adjusted[delta[a]] for a in range(n_a))
+        row = joint.entries[x * n_a : (x + 1) * n_a]
+        mass = {delta[a]: q for a, q in enumerate(row) if q}
+        dist = _reconstruct_input(mass, [proj[x] for proj in x_projs], tables, block_outputs)
+        densities.extend(dist.get(i, _ZERO) for i in delta)
 
-    result = Correlation(joint.input_alphabets, joint.output_alphabets, tuple(densities))
+    result = Correlation(inputs, outputs, tuple(densities))
     post = is_snos(result)
     if not post.member:
         raise NsGamesError(
@@ -474,34 +486,6 @@ def reconstruct_snos(
                 f"internal error: two-player reconstruction not NS: {ns_post.violation}"
             )
     return result
-
-
-def _subset_certificate_distance(
-    joint: JointDistribution,
-    target: tuple[Fraction, ...],
-    subset: SubsetIndex,
-    table: tuple[Fraction, ...],
-) -> Fraction:
-    """(1/2) || joint_{A_I X} - target.Q_I ||_1, exactly."""
-    members = subset.members
-    n_a_i = mr.table_size(tuple(joint.output_alphabets[i] for i in members))
-    if len(table) != n_a_i * mr.table_size(tuple(joint.input_alphabets[i] for i in members)):
-        raise ShapeError(f"marginal table for subset {members} has the wrong size")
-    a_proj = mr.project(joint.output_alphabets, members)
-    x_proj = mr.project(joint.input_alphabets, members)
-    n_a = joint.n_outputs
-    total = _ZERO
-    for x in range(joint.n_inputs):
-        got = [_ZERO] * n_a_i
-        for a in range(n_a):
-            q = joint.value(x, a)
-            if q:
-                got[a_proj[a]] += q
-        t = target[x]
-        row = x_proj[x] * n_a_i
-        for a_i in range(n_a_i):
-            total += abs(got[a_i] - t * table[row + a_i])
-    return total / 2
 
 
 # --- nearest no-signalling correlation ---------------------------------------

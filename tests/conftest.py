@@ -18,6 +18,7 @@ from nsgames import (
     strict_subsets,
 )
 from nsgames._mixedradix import decode, encode, project, table_size
+from nsgames.repair import _certificate_distance
 
 F = Fraction
 
@@ -127,3 +128,10 @@ def subset_conditional_table(correlation: Correlation, subset) -> tuple[Fraction
         for a_i in range(n_a_i):
             out[row + a_i] = table_full.entries[x * n_a_i + a_i]
     return tuple(out)
+
+
+def subset_certificate_distance(joint: JointDistribution, target, subset, table) -> Fraction:
+    """(1/2) || joint_{A_I X} - target.Q_I ||_1 for the subset I, exactly."""
+    return _certificate_distance(
+        joint.entries, joint.input_alphabets, joint.output_alphabets, subset.members, target, table
+    )

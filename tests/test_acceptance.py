@@ -39,7 +39,6 @@ from nsgames import (
 )
 from nsgames.bounds import repeated_value
 from nsgames.polytopes import NS_MODE_ALL, NS_MODE_SINGLES
-from nsgames.repair import _subset_certificate_distance
 
 from conftest import (
     rand_dist,
@@ -47,6 +46,7 @@ from conftest import (
     random_joint,
     random_ns_correlation,
     random_snos_correlation,
+    subset_certificate_distance,
     subset_conditional_table,
 )
 from test_polytopes import snos_membership_by_lp, tilde_fidelity_grid_oracle
@@ -207,7 +207,7 @@ def _certified_instance(rng, players, noise):
     for subset in strict_subsets(players, include_empty=False):
         table = subset_conditional_table(reference, subset)
         marginals[subset.members] = table
-        epsilons[subset.members] = _subset_certificate_distance(joint, target, subset, table)
+        epsilons[subset.members] = subset_certificate_distance(joint, target, subset, table)
     epsilons[()] = (
         sum(abs(a - b) for a, b in zip(joint.input_marginal(), target)) / 2
     )

@@ -14,9 +14,14 @@ from nsgames import (
     strict_subsets,
 )
 from nsgames.cli import main
-from nsgames.repair import _subset_certificate_distance
 
-from conftest import rand_dist, random_joint, random_ns_correlation, subset_conditional_table
+from conftest import (
+    rand_dist,
+    random_joint,
+    random_ns_correlation,
+    subset_certificate_distance,
+    subset_conditional_table,
+)
 
 F = Fraction
 
@@ -156,7 +161,7 @@ def test_reconstruct_roundtrip(capsys, tmp_path):
     marginals = []
     for subset in strict_subsets(players, include_empty=False):
         table = subset_conditional_table(reference, subset)
-        eps = _subset_certificate_distance(joint, target, subset, table)
+        eps = subset_certificate_distance(joint, target, subset, table)
         marginals.append(
             {
                 "subset": list(subset.members),
@@ -247,6 +252,26 @@ def test_reconstruct_marginal_without_epsilon_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "reconstruct", str(path))
     assert code == 2
     assert err.startswith("error:") and "marginals[0]" in err
+
+
+def test_reconstruct_malformed_table_exits_2_naming_the_subset(capsys, tmp_path):
+    payload = {
+        "players": 2,
+        "inputs": [1, 1],
+        "outputs": [2, 2],
+        "target": ["1/1"],
+        "joint": ["1/4"] * 4,
+        "marginals": [
+            {"subset": [0], "table": ["1/2", "1/2"], "epsilon": "0/1"},
+            {"subset": [1], "table": ["3/4", "1/2"], "epsilon": "1/1"},
+        ],
+        "epsilon_empty": "0/1",
+    }
+    path = tmp_path / "reconstruct.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "reconstruct", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "subset (1,)" in err
 
 
 def test_non_utf8_file_exits_2(capsys, tmp_path):

@@ -1,8 +1,11 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgames import (
     Correlation,
@@ -27,9 +30,9 @@ from nsgames import (
     trace_distance,
 )
 from nsgames import values
-from nsgames._mixedradix import project, table_size
+from nsgames._mixedradix import decode, project, table_size
 from nsgames.polytopes import NS_MODE_ALL
-from nsgames.repair import _subset_certificate_distance
+from nsgames.repair import _certificate_distance
 
 from conftest import (
     rand_dist,
@@ -37,8 +40,10 @@ from conftest import (
     random_joint,
     random_ns_correlation,
     random_snos_correlation,
+    subset_certificate_distance,
     subset_conditional_table,
 )
+import _reference_repair as dense
 
 F = Fraction
 
@@ -205,10 +210,10 @@ def _random_problem(rng, blocks=1):
     # compute the exact tolerances achieved by this data, then pose the problem
     z_weight = [sum(joint[z * n_b : (z + 1) * n_b], F(0)) for z in range(n_z)]
     eps0 = _half_l1(z_weight, target)
-    probe = ReconstructionProblem(
-        sizes_in, sizes_out, target, joint, marginals, F(2), (F(2),) * blocks
+    eps = tuple(
+        _certificate_distance(joint, sizes_in, sizes_out, (j,), target, marginals[j])
+        for j in range(blocks)
     )
-    eps = tuple(probe._block_distance(j) for j in range(blocks))
     return ReconstructionProblem(sizes_in, sizes_out, target, joint, marginals, eps0, eps)
 
 
@@ -251,6 +256,15 @@ def test_reconstruction_two_blocks_marginals_exactly_local():
         assert _half_l1(lifted, problem.joint) <= budget
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_reconstruction_problem_needs_one_table_per_block(count):
+    q = (F(1, 2),) * 4
+    with pytest.raises(ShapeError, match="one marginal table per block"):
+        ReconstructionProblem(
+            (2, 2), (2, 2), (F(1, 4),) * 4, (F(1, 16),) * 16, (q,) * count, 1, (1, 1)
+        )
+
+
 def test_reconstruction_problem_validates_certificates():
     rng = random.Random(139)
     target = rand_dist(rng, 4)
@@ -280,7 +294,7 @@ def _certified_instance(rng, players, noise=F(1, 10)):
     for subset in strict_subsets(players, include_empty=False):
         table = subset_conditional_table(reference, subset)
         marginals[subset.members] = table
-        epsilons[subset.members] = _subset_certificate_distance(joint, target, subset, table)
+        epsilons[subset.members] = subset_certificate_distance(joint, target, subset, table)
     epsilons[()] = _half_l1(joint.input_marginal(), target)
     return target, joint, marginals, epsilons
 
@@ -337,6 +351,165 @@ def test_reconstruct_snos_requires_all_subsets():
     marginals.pop((0,))
     with pytest.raises(DomainError, match="missing marginal tables"):
         reconstruct_snos(target, joint, marginals, epsilons)
+
+
+def test_reconstruct_snos_requires_all_tolerances():
+    rng = random.Random(167)
+    target, joint, marginals, epsilons = _certified_instance(rng, 3)
+    epsilons.pop(())
+    epsilons.pop((0, 1))
+    with pytest.raises(DomainError, match=re.escape("missing tolerances for subsets [(), (0, 1)]")):
+        reconstruct_snos(target, joint, marginals, epsilons)
+
+
+@pytest.mark.parametrize("row", [(F(3, 2), F(-1, 2)), (F(1, 2), F(1, 4))])
+def test_reconstruct_snos_names_the_subset_of_a_malformed_table(row):
+    rng = random.Random(173)
+    target, joint, marginals, epsilons = _certified_instance(rng, 2)
+    marginals[(1,)] = row + tuple(marginals[(1,)][2:])
+    with pytest.raises(
+        DomainError,
+        match=re.escape("marginal table for subset (1,) is not a conditional distribution"),
+    ):
+        reconstruct_snos(target, joint, marginals, epsilons)
+
+
+# --- the dense reference path ----------------------------------------------------------
+
+
+@st.composite
+def _distributions(draw, n):
+    """An exact distribution on n points with small weights, zeros included."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if not any(weights):
+        weights[-1] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+@st.composite
+def _tables(draw, sizes_in, sizes_out, members):
+    """A conditional table over the digits `members` of both alphabets."""
+    n_in = table_size([sizes_in[i] for i in members])
+    n_out = table_size([sizes_out[i] for i in members])
+    return tuple(v for _ in range(n_in) for v in draw(_distributions(n_out)))
+
+
+@st.composite
+def _joints(draw, kind, target, n_b, product_row):
+    """Entries over Z x B (z major): target(z) times `product_row(z)`, whose
+    block marginals already match every table (`product`, the early return),
+    or a random joint, whose first input carries no mass for `zero-row` (the
+    uniform branch)."""
+    if kind == "product":
+        return tuple(t * v for z, t in enumerate(target) for v in product_row(z))
+    size = len(target) * n_b
+    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    if kind == "zero-row":
+        weights[:n_b] = [0] * n_b
+    if not any(weights):
+        weights[-1] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def _product_row(sizes_in, sizes_out, tables, z):
+    """prod_j Q_j(b_j | z_j) over every b, for the per-digit tables Q_j."""
+    zs = decode(z, sizes_in)
+    row = []
+    for b in range(table_size(sizes_out)):
+        v = F(1)
+        for j, b_j in enumerate(decode(b, sizes_out)):
+            v *= tables[j][zs[j] * sizes_out[j] + b_j]
+        row.append(v)
+    return row
+
+
+@st.composite
+def _reconstruction_problems(draw, kind):
+    blocks = draw(st.integers(1, 3))
+    sizes_in = tuple(draw(st.integers(1, 3)) for _ in range(blocks))
+    sizes_out = tuple(draw(st.integers(1, 3)) for _ in range(blocks))
+    marginals = tuple(draw(_tables(sizes_in, sizes_out, (j,))) for j in range(blocks))
+    target = draw(_distributions(table_size(sizes_in)))
+    n_b = table_size(sizes_out)
+    joint = draw(_joints(kind, target, n_b, partial(_product_row, sizes_in, sizes_out, marginals)))
+    z_weight = [sum(joint[z * n_b : (z + 1) * n_b], F(0)) for z in range(len(target))]
+    eps = tuple(
+        _certificate_distance(joint, sizes_in, sizes_out, (j,), target, marginals[j])
+        for j in range(blocks)
+    )
+    return ReconstructionProblem(
+        sizes_in, sizes_out, target, joint, marginals, trace_distance(z_weight, target), eps
+    )
+
+
+@st.composite
+def _snos_instances(draw, kind):
+    players = draw(st.integers(2, 3))
+    top = 3 if players == 2 else 2
+    inputs = tuple(draw(st.integers(1, top)) for _ in range(players))
+    outputs = tuple(draw(st.integers(1, top)) for _ in range(players))
+    local = [draw(_tables(inputs, outputs, (i,))) for i in range(players)]
+    subsets = strict_subsets(players, include_empty=False)
+    target = draw(_distributions(table_size(inputs)))
+    product_row = partial(_product_row, inputs, outputs, local)
+    entries = draw(_joints(kind, target, table_size(outputs), product_row))
+    joint = JointDistribution(inputs, outputs, entries)
+    marginals = {}
+    for subset in subsets:
+        members = subset.members
+        if kind == "product":  # the subset conditionals of the product correlation
+            sub_in = [inputs[i] for i in members]
+            sub_out = [outputs[i] for i in members]
+            table = tuple(
+                v
+                for x_i in range(table_size(sub_in))
+                for v in _product_row(sub_in, sub_out, [local[i] for i in members], x_i)
+            )
+        else:
+            table = draw(_tables(inputs, outputs, members))
+        marginals[members] = table
+    epsilons = {
+        s.members: subset_certificate_distance(joint, target, s, marginals[s.members])
+        for s in subsets
+    }
+    epsilons[()] = trace_distance(joint.input_marginal(), target)
+    return target, joint, marginals, epsilons
+
+
+_KINDS = ["random", "zero-row", "product"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coupling_matches_dense_reference(data):
+    n_s, n_t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    joint = data.draw(_distributions(n_s * n_t))
+    if data.draw(st.booleans()):  # the marginal already matches: the early return
+        target = tuple(sum(joint[s * n_t : (s + 1) * n_t], F(0)) for s in range(n_s))
+    else:
+        target = data.draw(_distributions(n_s))
+    assert coupling_adjust(joint, target, n_s, n_t) == dense.coupling_adjust(
+        joint, target, n_s, n_t
+    )
+    other = data.draw(_distributions(n_s))
+    assert maximal_coupling(target, other) == dense.maximal_coupling(target, other)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_multi_marginal_reconstruction_matches_dense_reference(kind, data):
+    problem = data.draw(_reconstruction_problems(kind))
+    assert reconstruct_multi_marginal(problem) == dense.reconstruct_multi_marginal(problem)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_snos_reconstruction_matches_dense_reference(kind, data):
+    target, joint, marginals, epsilons = data.draw(_snos_instances(kind))
+    repaired = reconstruct_snos(target, joint, marginals, epsilons)
+    assert repaired.densities == dense.reconstruct_snos(joint, marginals)
 
 
 # --- nearest NS correlation -----------------------------------------------------------
