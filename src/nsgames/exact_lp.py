@@ -22,19 +22,18 @@ Every pivot decision compares the same rationals a `Fraction` tableau
 would: a reduced cost's sign is the sign of its int, and the ratio test and
 the lexicographic tie-break compare quotients of two entries of one row, in
 which the row's scale cancels, by cross-multiplication.  So bases, values
-and witnesses equal those of a `Fraction` tableau with the same pivot rules,
+and witnesses equal those of a `Fraction` tableau with the same pivot rule,
 bit for bit; ``tests/_reference_lp.py`` keeps one as the oracle.
 
 Pivoting and anti-cycling
 -------------------------
-The default rule ``"dantzig-lex"`` prices by most-negative reduced cost and
+The one rule, ``"dantzig-lex"``, prices by most-negative reduced cost and
 breaks ratio-test ties with the lexicographic rule, which is equivalent to
 solving the symbolically perturbed problem b + (eps, eps^2, ..): every pivot
 strictly decreases the perturbed objective, so cycling is impossible and the
-long degenerate stalls typical of correlation-polytope LPs are avoided.
-``pivoting="bland"`` instead runs Bland's smallest-index rule throughout,
-which also cannot cycle.  Both rules are deterministic (ties resolve by
-lowest index), so identical problems yield bit-for-bit identical solutions.
+long degenerate stalls typical of correlation-polytope LPs are avoided.  The
+rule is deterministic (ties resolve by lowest index), so identical problems
+yield bit-for-bit identical solutions.
 """
 
 from __future__ import annotations
@@ -123,11 +122,9 @@ class LpSolution:
     witness: tuple[Fraction, ...] | None = None
 
 
-def lp_solve(
-    problem: LpProblem, *, pivoting: Literal["dantzig-lex", "bland"] = "dantzig-lex"
-) -> LpSolution:
+def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve to a proven exact optimum, or report infeasible/unbounded."""
-    return _Tableau(problem, pivoting).solve()
+    return _Tableau(problem).solve()
 
 
 def residuals(problem: LpProblem, point: Sequence[Fraction]) -> list[Fraction]:
@@ -170,11 +167,8 @@ class _Tableau:
     (see the module docstring).  The reduced costs are kept the same way.
     """
 
-    def __init__(self, problem: LpProblem, pivoting: str) -> None:
-        if pivoting not in ("dantzig-lex", "bland"):
-            raise DomainError(f"unknown pivoting rule {pivoting!r}")
+    def __init__(self, problem: LpProblem) -> None:
         self.problem = problem
-        self.bland = pivoting == "bland"
         self._build_standard_form()
 
     # -- construction ------------------------------------------------------
@@ -301,8 +295,6 @@ class _Tableau:
         negative = [j for j, v in red.items() if v < 0 and 0 <= j < limit]
         if not negative:
             return None
-        if self.bland:
-            return min(negative)
         return min(negative, key=lambda j: (red[j], j))  # the first most negative
 
     def _choose_leaving(self, enter: int, lex_pos: dict[int, int]) -> int | None:
@@ -319,8 +311,6 @@ class _Tableau:
                     candidates.append(i)
         if len(candidates) <= 1:
             return candidates[0] if candidates else None
-        if self.bland:
-            return min(candidates, key=lambda i: self.basis[i])
         # lexicographic tie-break: the least row/coeff in the fixed column
         # order.  Column by column keep the candidates whose entry/coeff is
         # least; columns where every candidate is zero keep them all, so only

@@ -48,8 +48,48 @@ def _check_alphabets(name: str, sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
+class _Alphabets:
+    """Player and joint-alphabet counts of a frozen dataclass with fields
+    `input_alphabets` and `output_alphabets`, and their checks."""
+
+    input_alphabets: tuple[int, ...]
+    output_alphabets: tuple[int, ...]
+
+    def _check_shape(self) -> None:
+        inputs = _check_alphabets("input_alphabets", self.input_alphabets)
+        outputs = _check_alphabets("output_alphabets", self.output_alphabets)
+        if len(inputs) != len(outputs):
+            raise ShapeError("player counts of input and output alphabets differ")
+        object.__setattr__(self, "input_alphabets", inputs)
+        object.__setattr__(self, "output_alphabets", outputs)
+
+    def _check_table(self, name: str, unit: str, negative: str) -> None:
+        """Check the alphabets, then make field `name` a non-negative tuple of
+        Fractions over (x, a), x major."""
+        self._check_shape()
+        values = tuple(Fraction(v) for v in getattr(self, name))
+        expected = self.n_inputs * self.n_outputs
+        if len(values) != expected:
+            raise ShapeError(f"{name} has {len(values)} {unit}, expected {expected}")
+        if any(v < 0 for v in values):
+            raise DomainError(negative)
+        object.__setattr__(self, name, values)
+
+    @property
+    def players(self) -> int:
+        return len(self.input_alphabets)
+
+    @property
+    def n_inputs(self) -> int:
+        return mr.table_size(self.input_alphabets)
+
+    @property
+    def n_outputs(self) -> int:
+        return mr.table_size(self.output_alphabets)
+
+
 @dataclass(frozen=True)
-class Game:
+class Game(_Alphabets):
     """An l-player game (T, V) over finite input/output alphabets.
 
     Invariants, enforced on construction: T sums to exactly 1 with
@@ -63,12 +103,7 @@ class Game:
     predicate: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        inputs = _check_alphabets("input_alphabets", self.input_alphabets)
-        outputs = _check_alphabets("output_alphabets", self.output_alphabets)
-        if len(inputs) != len(outputs):
-            raise ShapeError("player counts of input and output alphabets differ")
-        object.__setattr__(self, "input_alphabets", inputs)
-        object.__setattr__(self, "output_alphabets", outputs)
+        self._check_shape()
         object.__setattr__(self, "distribution", tuple(Fraction(t) for t in self.distribution))
         object.__setattr__(self, "predicate", tuple(int(v) for v in self.predicate))
 
@@ -85,18 +120,6 @@ class Game:
         if any(v not in (0, 1) for v in self.predicate):
             raise DomainError("predicate entries must be 0 or 1")
 
-    @property
-    def players(self) -> int:
-        return len(self.input_alphabets)
-
-    @property
-    def n_inputs(self) -> int:
-        return mr.table_size(self.input_alphabets)
-
-    @property
-    def n_outputs(self) -> int:
-        return mr.table_size(self.output_alphabets)
-
     def query_weight(self, x_index: int) -> Fraction:
         return self.distribution[x_index]
 
@@ -108,7 +131,7 @@ class Game:
 
 
 @dataclass(frozen=True)
-class Correlation:
+class Correlation(_Alphabets):
     """Conditional (sub-)density table ``P(a|x) >= 0`` over matching alphabets."""
 
     input_alphabets: tuple[int, ...]
@@ -116,34 +139,9 @@ class Correlation:
     densities: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        inputs = _check_alphabets("input_alphabets", self.input_alphabets)
-        outputs = _check_alphabets("output_alphabets", self.output_alphabets)
-        if len(inputs) != len(outputs):
-            raise ShapeError("player counts of input and output alphabets differ")
-        object.__setattr__(self, "input_alphabets", inputs)
-        object.__setattr__(self, "output_alphabets", outputs)
-        object.__setattr__(self, "densities", tuple(Fraction(p) for p in self.densities))
-        if len(self.densities) != self.n_inputs * self.n_outputs:
-            raise ShapeError(
-                f"densities has {len(self.densities)} entries, "
-                f"expected {self.n_inputs * self.n_outputs}"
-            )
         # Negative entries are representable (membership reports locate them),
         # but plain construction rejects them: they are never meaningful here.
-        if any(p < 0 for p in self.densities):
-            raise DomainError("densities must be non-negative")
-
-    @property
-    def players(self) -> int:
-        return len(self.input_alphabets)
-
-    @property
-    def n_inputs(self) -> int:
-        return mr.table_size(self.input_alphabets)
-
-    @property
-    def n_outputs(self) -> int:
-        return mr.table_size(self.output_alphabets)
+        self._check_table("densities", "entries", "densities must be non-negative")
 
     def density(self, x_index: int, a_index: int) -> Fraction:
         return self.densities[x_index * self.n_outputs + a_index]
@@ -157,7 +155,7 @@ class Correlation:
 
 
 @dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Alphabets):
     """A joint (sub-)distribution Q(a, x) over outputs x inputs, same layout."""
 
     input_alphabets: tuple[int, ...]
@@ -165,32 +163,7 @@ class JointDistribution:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        inputs = _check_alphabets("input_alphabets", self.input_alphabets)
-        outputs = _check_alphabets("output_alphabets", self.output_alphabets)
-        if len(inputs) != len(outputs):
-            raise ShapeError("player counts of input and output alphabets differ")
-        object.__setattr__(self, "input_alphabets", inputs)
-        object.__setattr__(self, "output_alphabets", outputs)
-        object.__setattr__(self, "entries", tuple(Fraction(q) for q in self.entries))
-        if len(self.entries) != self.n_inputs * self.n_outputs:
-            raise ShapeError(
-                f"entries has {len(self.entries)} values, "
-                f"expected {self.n_inputs * self.n_outputs}"
-            )
-        if any(q < 0 for q in self.entries):
-            raise DomainError("joint distribution entries must be non-negative")
-
-    @property
-    def players(self) -> int:
-        return len(self.input_alphabets)
-
-    @property
-    def n_inputs(self) -> int:
-        return mr.table_size(self.input_alphabets)
-
-    @property
-    def n_outputs(self) -> int:
-        return mr.table_size(self.output_alphabets)
+        self._check_table("entries", "values", "joint distribution entries must be non-negative")
 
     def value(self, x_index: int, a_index: int) -> Fraction:
         return self.entries[x_index * self.n_outputs + a_index]
@@ -483,19 +456,26 @@ def marginal(correlation: Correlation, subset: SubsetIndex) -> MarginalTable:
     """
     if subset.players != correlation.players:
         raise ShapeError("subset declared for a different player count")
-    members = subset.members
-    out_sizes = tuple(correlation.output_alphabets[i] for i in members)
-    n_a_i = mr.table_size(out_sizes)
-    n_x, n_a = correlation.n_inputs, correlation.n_outputs
-    proj = mr.project(correlation.output_alphabets, members)
-    entries = [_ZERO] * (n_x * n_a_i)
-    dens = correlation.densities
-    for x in range(n_x):
-        row = x * n_a
-        out_row = x * n_a_i
-        for a in range(n_a):
-            entries[out_row + proj[a]] += dens[row + a]
+    outputs = correlation.output_alphabets
+    entries = _subset_sums(correlation.densities, outputs, subset.members)
+    out_sizes = tuple(outputs[i] for i in subset.members)
     return MarginalTable(subset, correlation.input_alphabets, out_sizes, tuple(entries))
+
+
+def _subset_sums(
+    entries: Sequence[Fraction], outputs: Sequence[int], members: Sequence[int]
+) -> list[Fraction]:
+    """Sum an (x, a) table, x major, over the outputs of the players outside
+    `members`: the result is over (x, a_I), x major.  Zero entries are skipped."""
+    proj = mr.project(outputs, members)
+    n_a, n_a_i = len(proj), mr.table_size([outputs[i] for i in members])
+    out = [_ZERO] * (len(entries) // n_a * n_a_i)
+    for row in range(0, len(entries), n_a):
+        out_row = row // n_a * n_a_i
+        for a, v in enumerate(entries[row : row + n_a]):
+            if v:
+                out[out_row + proj[a]] += v
+    return out
 
 
 def permute_players(game: Game, sigma: Sequence[int]) -> Game:

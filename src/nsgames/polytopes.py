@@ -20,9 +20,15 @@ the default); mode "all-subsets" checks every strict subset.  No analogous
 reduction is used for SNOS membership: is_snos always checks all strict
 subsets.
 
-Exactness: membership, dominators and trace distance are exact rationals;
-fidelity-based quantities are binary64 (square roots are irrational) and
-comparisons against them use absolute tolerance 1e-9 unless stated.
+The marginal-consistency distance (1/2) || T.R - Q_{A_I X} ||_1, minimized
+over conditionals R, has a closed form and needs no LP: per x_I block, the
+unit of mass is filled in along the linear pieces of its convex objective in
+increasing order of slope, ties broken by (slope, a_I, segment start).
+
+Exactness: membership, dominators, trace and consistency distances are exact
+rationals; fidelity-based quantities are binary64 (square roots are
+irrational) and comparisons against them use absolute tolerance 1e-9 unless
+stated.
 """
 
 from __future__ import annotations
@@ -33,12 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _mixedradix as mr
-from .errors import DomainError, NsGamesError, ShapeError
-from .exact_lp import LpProblem, lp_solve
+from .errors import DomainError, ShapeError
 from .game_model import (
     Correlation,
     JointDistribution,
     SubsetIndex,
+    _subset_sums,
     marginal,
     singles_complement_subsets,
     strict_subsets,
@@ -276,17 +282,7 @@ def _check_joint_and_target(
 
 def _joint_subset_marginal(joint: JointDistribution, subset: SubsetIndex) -> list[Fraction]:
     """Q(a_I, x) for all (x major, a_I minor)."""
-    out_sizes = tuple(joint.output_alphabets[i] for i in subset.members)
-    n_a_i = mr.table_size(out_sizes)
-    n_a = joint.n_outputs
-    proj = mr.project(joint.output_alphabets, subset.members)
-    out = [_ZERO] * (joint.n_inputs * n_a_i)
-    for x in range(joint.n_inputs):
-        row = x * n_a
-        out_row = x * n_a_i
-        for a in range(n_a):
-            out[out_row + proj[a]] += joint.entries[row + a]
-    return out
+    return _subset_sums(joint.entries, joint.output_alphabets, subset.members)
 
 
 def marginal_consistency_distance(
@@ -294,58 +290,55 @@ def marginal_consistency_distance(
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """min over conditionals R(a_I|x_I) of (1/2) || T.R - Q_{A_I X} ||_1.
 
-    Solved exactly as one small LP per x_I (the objective splits across x_I
-    blocks).  Returns the distance and the minimizing R (x_I major table).
+    The objective splits into one term g(R(a_I|x_I)) per (x_I, a_I), with
+    g(r) = (1/2) sum over the x in block x_I of |T(x) r - Q(a_I, x)|: convex
+    and piecewise linear, with kinks at Q/T where T(x) > 0 (inputs with
+    T(x) = 0 add the constant Q/2).  So per x_I block, starting from R = 0,
+    the unit of mass is filled in along the segments of every g in increasing
+    order of slope, ties broken by (slope, a_I, segment start).  Returns the
+    distance and the minimizing R (x_I major table); where several R attain
+    the minimum, the tie rule picks one.
     """
     if subset.players != joint.players:
         raise ShapeError("subset declared for a different player count")
     target = _check_joint_and_target(joint, target)
 
     members = subset.members
-    in_sizes = tuple(joint.input_alphabets[i] for i in members)
-    out_sizes = tuple(joint.output_alphabets[i] for i in members)
-    n_x_i, n_a_i = mr.table_size(in_sizes), mr.table_size(out_sizes)
+    n_x_i = mr.table_size([joint.input_alphabets[i] for i in members])
+    n_a_i = mr.table_size([joint.output_alphabets[i] for i in members])
     q_marg = _joint_subset_marginal(joint, subset)
     x_proj = mr.project(joint.input_alphabets, members)
-    blocks: dict[int, list[int]] = {x_i: [] for x_i in range(n_x_i)}
-    for x in range(joint.n_inputs):
-        blocks[x_proj[x]].append(x)
+    # per (x_I, a_I): the kinks (Q/T, T) of g, which starts at slope -(sum T)/2
+    # and whose slope rises by T at each kink
+    kinks: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n_x_i * n_a_i)]
+    for x, t in enumerate(target):
+        if t:
+            row = x_proj[x] * n_a_i
+            for a_i in range(n_a_i):
+                kinks[row + a_i].append((q_marg[x * n_a_i + a_i] / t, t))
 
-    half = Fraction(1, 2)
-    total = _ZERO
+    total = Fraction(1, 2)  # the sum of every g(0) = Q/2: Q is normalized
     r_table = [_ZERO] * (n_x_i * n_a_i)
     for x_i in range(n_x_i):
-        xs = blocks[x_i]
-        # vars: R(a_I) for a_I, then u(a_I, x) >= |T(x) R(a_I) - Q(a_I, x)|
-        n_u = n_a_i * len(xs)
-        n_vars = n_a_i + n_u
-        objective = [_ZERO] * n_a_i + [half] * n_u
-        constraints = []
-        row = [_ZERO] * n_vars
+        # (slope, a_I, start, length); the last segment of each g is unbounded,
+        # and a length of 1, the whole budget, stands for it
+        segments = []
         for a_i in range(n_a_i):
-            row[a_i] = _ONE
-        constraints.append((tuple(row), "=", _ONE))
-        u_pos = n_a_i
-        for a_i in range(n_a_i):
-            for x in xs:
-                q = q_marg[x * n_a_i + a_i]
-                t = target[x]
-                up = [_ZERO] * n_vars
-                up[a_i] = t
-                up[u_pos] = -_ONE
-                constraints.append((tuple(up), "<=", q))  # T R - u <= Q
-                dn = [_ZERO] * n_vars
-                dn[a_i] = -t
-                dn[u_pos] = -_ONE
-                constraints.append((tuple(dn), "<=", -q))  # -T R - u <= -Q
-                u_pos += 1
-        problem = LpProblem(tuple(objective), tuple(constraints), maximize=False)
-        solution = lp_solve(problem)
-        if solution.status != "optimal":
-            raise NsGamesError(f"internal error: consistency LP reported {solution.status}")
-        total += solution.value
-        for a_i in range(n_a_i):
-            r_table[x_i * n_a_i + a_i] = solution.witness[a_i]
+            points = sorted(kinks[x_i * n_a_i + a_i])
+            slope, start = -sum((t for _, t in points), _ZERO) / 2, _ZERO
+            for point, t in points:
+                if point > start:
+                    segments.append((slope, a_i, start, point - start))
+                slope, start = slope + t, point
+            segments.append((slope, a_i, start, _ONE))
+        budget = _ONE
+        for slope, a_i, _, length in sorted(segments):
+            step = min(length, budget)
+            r_table[x_i * n_a_i + a_i] += step
+            total += slope * step
+            budget -= step
+            if not budget:
+                break
     return total, tuple(r_table)
 
 

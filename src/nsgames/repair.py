@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import _mixedradix as mr
 from .errors import DomainError, NsGamesError, ShapeError, UnsupportedError
 from .exact_lp import LpProblem
-from .game_model import Correlation, JointDistribution, strict_subsets
+from .game_model import Correlation, JointDistribution, _subset_sums, strict_subsets
 from .polytopes import NS_MODE_ALL, is_ns, is_snos, trace_distance
 from .values import _ns_forms, _ns_nonnegativity, _ns_point, _QuotientRows, _solved
 
@@ -91,9 +91,6 @@ def bump_up(correlation: Correlation) -> Correlation:
             for x2 in range(n_x2):
                 x = x1 * n_x2 + x2
                 for a1 in range(n_a1):
-                    slack1 = q_first.value(x1, a1) - marg1[x][a1]
-                    if slack1 <= 0:
-                        continue
                     for a2 in range(n_a2):
                         slack1 = q_first.value(x1, a1) - marg1[x][a1]
                         if slack1 <= 0:
@@ -253,18 +250,14 @@ def _certificate_distance(
     `entries` is P over X x A (x major, mixed radix over `inputs` and
     `outputs`); Q_I(a_I|x_I) is `table`, over the digits `members` of both.
     """
-    a_proj = mr.project(outputs, members)
+    got = _subset_sums(entries, outputs, members)
     x_proj = mr.project(inputs, members)
-    n_a, n_a_i = len(a_proj), mr.table_size([outputs[i] for i in members])
+    n_a_i = mr.table_size([outputs[i] for i in members])
     total = _ZERO
     for x, t in enumerate(target):
-        got = [_ZERO] * n_a_i
-        for a, q in enumerate(entries[x * n_a : (x + 1) * n_a]):
-            if q:
-                got[a_proj[a]] += q
-        row = x_proj[x] * n_a_i
+        row, got_row = x_proj[x] * n_a_i, x * n_a_i
         for a_i in range(n_a_i):
-            total += abs(got[a_i] - t * table[row + a_i])
+            total += abs(got[got_row + a_i] - t * table[row + a_i])
     return total / 2
 
 
@@ -529,7 +522,7 @@ def nearest_ns(
         problem = LpProblem(
             (_ZERO,) * n_vars + (_ONE,) * n_u, rows.to_constraints(n_vars + n_u), maximize=False
         )
-        solution = _solved(problem, "dantzig-lex", "projection")
+        solution = _solved(problem, "projection")
         point, distance = solution.witness, solution.value
     else:  # every player has one output: the deterministic point is the polytope
         point, distance = (), _ZERO

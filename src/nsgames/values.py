@@ -225,8 +225,8 @@ def _expand_witness(
     return Correlation(game.input_alphabets, game.output_alphabets, densities)
 
 
-def _solved(problem: LpProblem, pivoting: str, what: str) -> LpSolution:
-    solution = lp_solve(problem, pivoting=pivoting)
+def _solved(problem: LpProblem, what: str) -> LpSolution:
+    solution = lp_solve(problem)
     if solution.status != "optimal":
         raise NsGamesError(f"internal error: the {what} LP reported {solution.status}")
     return solution
@@ -330,7 +330,6 @@ def value_ns(
     rounds: int = 1,
     use_symmetry: bool = True,
     table_cap: int = DEFAULT_TABLE_CAP,
-    pivoting: str = "dantzig-lex",
 ) -> ValueResult:
     """Exact NS value and an optimal no-signalling witness."""
     _check_cap(game, table_cap, "value_ns")
@@ -357,7 +356,7 @@ def value_ns(
 
     if n_vars:
         problem = LpProblem(tuple(objective), rows.to_constraints(n_vars), maximize=True)
-        solution = _solved(problem, pivoting, "NS value")
+        solution = _solved(problem, "NS value")
         point, value = solution.witness, solution.value + offset
     else:  # every player has one output: the deterministic point is the polytope
         point, value = (), offset
@@ -371,7 +370,6 @@ def value_snos(
     rounds: int = 1,
     use_symmetry: bool = True,
     table_cap: int = DEFAULT_TABLE_CAP,
-    pivoting: str = "dantzig-lex",
 ) -> ValueResult:
     """Exact SNOS value and an optimal sub-no-signalling witness."""
     _check_cap(game, table_cap, "value_snos")
@@ -415,7 +413,7 @@ def value_snos(
         rows.to_constraints(n_vars),
         maximize=True,
     )
-    solution = _solved(problem, pivoting, "SNOS value")
+    solution = _solved(problem, "SNOS value")
     strategy = _expand_witness(solution.witness, orbit_of, game)
     return _verified(MODEL_SNOS, solution.value, game, strategy)
 
@@ -427,12 +425,8 @@ def _verified(model: str, value: Fraction, game: Game, strategy: Correlation) ->
         raise NsGamesError(
             f"internal error: {model} witness wins with {achieved}, LP reported {value}"
         )
-    if model == MODEL_NS:
-        report = is_ns(strategy, NS_MODE_ALL)
-    elif model == MODEL_SNOS:
-        report = is_snos(strategy)
-    else:
-        report = is_ns(strategy, NS_MODE_ALL)  # deterministic strategies are NS
+    # deterministic (classical) strategies are NS
+    report = is_snos(strategy) if model == MODEL_SNOS else is_ns(strategy, NS_MODE_ALL)
     if not report.member:
         raise NsGamesError(f"internal error: {model} witness failed membership: {report.violation}")
     return ValueResult(model, value, strategy)

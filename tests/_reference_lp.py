@@ -1,5 +1,6 @@
-"""A `Fraction` tableau simplex with the pivot rules of `nsgames.exact_lp`,
-kept as a test oracle.
+"""A `Fraction` tableau simplex with the pivot rule of `nsgames.exact_lp`,
+kept as a test oracle, and Bland's smallest-index rule as an independent
+second rule.
 
 It is the rational tableau the package solved with before its tableau moved
 to integer rows, with one fix: the objective is laid out over the split

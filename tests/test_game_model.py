@@ -7,6 +7,7 @@ from nsgames import (
     Correlation,
     DomainError,
     Game,
+    JointDistribution,
     ResourceLimitError,
     ShapeError,
     SubsetIndex,
@@ -62,6 +63,34 @@ def test_correlation_rejects_negative_entries():
     dens[3] = F(-1, 4)
     with pytest.raises(DomainError):
         Correlation((2, 2), (2, 2), tuple(dens))
+
+
+@pytest.mark.parametrize(
+    "make, field, unit, negative",
+    [
+        (Correlation, "densities", "entries", "densities must be non-negative"),
+        (JointDistribution, "entries", "values", "joint distribution entries must be non-negative"),
+    ],
+)
+def test_table_constructors_name_their_errors(make, field, unit, negative):
+    half, quarter = F(1, 2), F(1, 4)
+    differ = "player counts of input and output alphabets differ"
+    cases = [
+        ((), (2,), (half,) * 2, ShapeError, "input_alphabets: at least one player is required"),
+        ((2,), (0,), (), ShapeError, "output_alphabets: alphabet sizes must be positive, got (0,)"),
+        ((2,), (2, 2), (quarter,) * 8, ShapeError, differ),
+        ((2,), (2,), (quarter,) * 3, ShapeError, f"{field} has 3 {unit}, expected 4"),
+        ((2,), (2,), (half, -quarter, half, quarter), DomainError, negative),
+    ]
+    for inputs, outputs, values, error, message in cases:
+        with pytest.raises(error) as info:
+            make(inputs, outputs, values)
+        assert str(info.value) == message
+    table = make([2], [2], ["1/4", 1, half, 0])  # converted to exact tuples
+    assert (table.players, table.n_inputs, table.n_outputs) == (1, 2, 2)
+    assert table.input_alphabets == (2,) and table.output_alphabets == (2,)
+    assert getattr(table, field) == (quarter, F(1), half, F(0))
+    assert all(type(v) is Fraction for v in getattr(table, field))
 
 
 def test_subset_index_must_be_strict():

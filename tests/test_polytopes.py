@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgames import (
     Correlation,
@@ -23,7 +25,7 @@ from nsgames import (
     trace_distance,
 )
 from nsgames import _mixedradix as mr
-from nsgames.polytopes import NS_MODE_ALL, NS_MODE_SINGLES
+from nsgames.polytopes import NS_MODE_ALL, NS_MODE_SINGLES, _joint_subset_marginal
 
 from conftest import (
     rand_dist,
@@ -31,6 +33,7 @@ from conftest import (
     random_joint,
     random_ns_correlation,
     random_snos_correlation,
+    subset_certificate_distance,
 )
 
 F = Fraction
@@ -320,6 +323,70 @@ def test_consistency_distance_matches_breakpoint_oracle():
         for subset in strict_subsets(2, include_empty=False):
             lp_value, _ = marginal_consistency_distance(joint, target, subset)
             assert lp_value == _distance_by_breakpoints(joint, target, subset)
+
+
+def _distance_by_lp(joint: JointDistribution, target, subset) -> Fraction:
+    """Oracle: the consistency distance as one LP per x_I block, over R(a_I)
+    with sum R = 1 and u(a_I, x) >= |T(x) R(a_I) - Q(a_I, x)|."""
+    members = subset.members
+    n_x_i = mr.table_size([joint.input_alphabets[i] for i in members])
+    n_a_i = mr.table_size([joint.output_alphabets[i] for i in members])
+    q_marg = _joint_subset_marginal(joint, subset)
+    x_proj = mr.project(joint.input_alphabets, members)
+    total = F(0)
+    for x_i in range(n_x_i):
+        xs = [x for x in range(joint.n_inputs) if x_proj[x] == x_i]
+        n_u = n_a_i * len(xs)
+        n_vars = n_a_i + n_u
+        constraints = [(tuple(F(int(j < n_a_i)) for j in range(n_vars)), "=", F(1))]
+        u_pos = n_a_i
+        for a_i in range(n_a_i):
+            for x in xs:
+                q, t = q_marg[x * n_a_i + a_i], target[x]
+                for sign in (1, -1):  # sign (T R - Q) - u <= 0
+                    row = [F(0)] * n_vars
+                    row[a_i], row[u_pos] = sign * t, F(-1)
+                    constraints.append((tuple(row), "<=", sign * q))
+                u_pos += 1
+        objective = (F(0),) * n_a_i + (F(1, 2),) * n_u
+        solution = lp_solve(LpProblem(objective, tuple(constraints), maximize=False))
+        assert solution.status == "optimal"
+        total += solution.value
+    return total
+
+
+@st.composite
+def _consistency_instances(draw):
+    """A joint, a target and a nonempty strict subset: 2-3 players, ragged
+    alphabets of 1-3 symbols, tables with many zeros (so ties are common) and
+    zero-weight inputs in half the draws."""
+    players = draw(st.integers(2, 3))
+    inputs = tuple(draw(st.integers(1, 3)) for _ in range(players))
+    outputs = tuple(draw(st.integers(1, 3)) for _ in range(players))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    joint = random_joint(rng, inputs, outputs, denom=rng.choice([2, 4, 64]))
+    n_x = mr.table_size(inputs)
+    if draw(st.booleans()):
+        weights = [rng.randrange(0, 4) if rng.random() < 0.5 else 0 for _ in range(n_x)]
+        weights[rng.randrange(n_x)] += 1
+        target = tuple(F(w, sum(weights)) for w in weights)
+    else:
+        target = rand_dist(rng, n_x)
+    subset = draw(st.sampled_from(strict_subsets(players, include_empty=False)))
+    return joint, target, subset
+
+
+@settings(max_examples=40, deadline=None)
+@given(_consistency_instances())
+def test_consistency_distance_matches_the_lp(instance):
+    joint, target, subset = instance
+    distance, r_table = marginal_consistency_distance(joint, target, subset)
+    assert distance == _distance_by_lp(joint, target, subset)
+    # R is a conditional table R(a_I|x_I) that attains the distance exactly
+    n_a_i = mr.table_size([joint.output_alphabets[i] for i in subset.members])
+    rows = [r_table[k : k + n_a_i] for k in range(0, len(r_table), n_a_i)]
+    assert all(min(row) >= 0 and sum(row) == 1 for row in rows)
+    assert subset_certificate_distance(joint, target, subset, r_table) == distance
 
 
 def test_consistency_rejects_unnormalized():

@@ -341,7 +341,6 @@ def test_ns_value_matches_dense_equality_lp(game):
     want = _dense_ns_value(game)
     assert value_ns(game, use_symmetry=True).value == want
     assert value_ns(game, use_symmetry=False).value == want
-    assert value_ns(game, pivoting="bland").value == want
 
 
 def _captured_problems(monkeypatch, game, solve=value_ns, **kwargs) -> list[LpProblem]:
